@@ -11,10 +11,7 @@
 //! [`DiskProfile`]; the default profile models the paper's "fast
 //! PCI-express SSD storage device" from Figure 9.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use mirage_testkit::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
 
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
@@ -23,7 +20,7 @@ use mirage_ring::FrontRing;
 use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
-use crate::xenstore::Xenstore;
+use crate::xenstore::{FrontLink, Frontend, Xenstore};
 
 /// Bytes per disk sector.
 pub const SECTOR_SIZE: usize = 512;
@@ -240,36 +237,116 @@ pub(crate) mod wire {
     }
 }
 
-enum BlkFrontState {
-    Init,
-    WaitPort,
-    Connected,
+/// The stack-facing side both block frontends share: request intake,
+/// the check a request must pass before it goes on a ring, write staging
+/// and completions.
+pub(crate) struct BlkQueue {
+    from_stack: Receiver<BlkRequest>,
+    to_stack: Sender<BlkCompletion>,
+    backlog: VecDeque<BlkRequest>,
+}
+
+impl BlkQueue {
+    /// The queue and its stack-facing handle for a disk of `sectors`.
+    pub fn new(sectors: u64) -> (BlkQueue, BlkHandle) {
+        let (submit, from_stack) = channel::channel();
+        let (to_stack, complete) = channel::channel();
+        let queue = BlkQueue {
+            from_stack,
+            to_stack,
+            backlog: VecDeque::new(),
+        };
+        let handle = BlkHandle {
+            submit,
+            complete,
+            sectors,
+        };
+        (queue, handle)
+    }
+
+    /// Whether a request naming 1..=[`MAX_SECTORS_PER_REQ`] sectors is
+    /// waiting. Requests naming none or more than a page fail at once.
+    pub fn ready(&mut self) -> bool {
+        while let Some(req) = self.from_stack.try_recv() {
+            self.backlog.push_back(req);
+        }
+        while let Some(req) = self.backlog.front() {
+            if (1..=MAX_SECTORS_PER_REQ).contains(&req.count) {
+                return true;
+            }
+            let req = self.backlog.pop_front().expect("peeked");
+            let _ = self.to_stack.send(BlkCompletion {
+                id: req.id,
+                ok: false,
+                data: None,
+            });
+        }
+        false
+    }
+
+    /// Takes the waiting request, copying a write's payload into its I/O
+    /// page `page`: the one direct write. Returns the request and its
+    /// wire op.
+    pub fn take(&mut self, env: &mut DomainEnv<'_>, page: &SharedPage) -> (BlkRequest, u8) {
+        let req = self.backlog.pop_front().expect("ready");
+        let op = match req.op {
+            BlkOp::Read => wire::OP_READ,
+            BlkOp::Write => {
+                let data = req.data.as_deref().unwrap_or(&[]);
+                let n = data.len().min(req.count as usize * SECTOR_SIZE);
+                page.write(|b| b[..n].copy_from_slice(&data[..n]));
+                let c = env.costs().copy(n);
+                env.consume(c);
+                wire::OP_WRITE
+            }
+        };
+        (req, op)
+    }
+
+    /// Hands `req`'s completion to the stack, with a successful read's
+    /// data from its I/O page `page`.
+    pub fn complete(&self, req: &Submitted, ok: bool, page: &SharedPage) {
+        let data = (ok && req.op == BlkOp::Read).then(|| page.read(|b| b[..req.bytes].to_vec()));
+        let _ = self.to_stack.send(BlkCompletion {
+            id: req.id,
+            ok,
+            data,
+        });
+    }
+}
+
+/// What a frontend remembers of a request on its ring.
+pub(crate) struct Submitted {
+    id: u64,
+    op: BlkOp,
+    bytes: usize,
+}
+
+impl From<&BlkRequest> for Submitted {
+    fn from(req: &BlkRequest) -> Submitted {
+        Submitted {
+            id: req.id,
+            op: req.op,
+            bytes: req.count as usize * SECTOR_SIZE,
+        }
+    }
 }
 
 struct Inflight {
-    id: u64,
-    op: BlkOp,
+    req: Submitted,
     gref: GrantRef,
     page: SharedPage,
-    read_bytes: usize,
 }
 
 /// The blkfront device driver ([`DeviceService`]).
 pub struct Blkfront {
-    xs: Xenstore,
-    name: String,
+    link: FrontLink,
     disk_sectors: u64,
-    state: BlkFrontState,
-    registered_watch: bool,
     ring: Option<FrontRing>,
     port: Option<Port>,
-    backend: Option<DomainId>,
     free_pages: Vec<(GrantRef, SharedPage)>,
     inflight: HashMap<u32, Inflight>,
-    from_stack: Receiver<BlkRequest>,
-    to_stack: Sender<BlkCompletion>,
-    backlog: std::collections::VecDeque<BlkRequest>,
-    requests_done: Arc<Mutex<u64>>,
+    stack: BlkQueue,
 }
 
 impl Blkfront {
@@ -280,75 +357,45 @@ impl Blkfront {
         name: impl Into<String>,
         disk_sectors: u64,
     ) -> (Blkfront, BlkHandle) {
-        let (submit_tx, submit_rx) = channel::channel();
-        let (comp_tx, comp_rx) = channel::channel();
+        let (stack, handle) = BlkQueue::new(disk_sectors);
         let front = Blkfront {
-            xs,
-            name: name.into(),
+            link: FrontLink::new(xs, "blk", name.into()),
             disk_sectors,
-            state: BlkFrontState::Init,
-            registered_watch: false,
             ring: None,
             port: None,
-            backend: None,
             free_pages: Vec::new(),
             inflight: HashMap::new(),
-            from_stack: submit_rx,
-            to_stack: comp_tx,
-            backlog: std::collections::VecDeque::new(),
-            requests_done: Arc::new(Mutex::new(0)),
-        };
-        let handle = BlkHandle {
-            submit: submit_tx,
-            complete: comp_rx,
-            sectors: disk_sectors,
+            stack,
         };
         (front, handle)
     }
+}
 
-    fn base(&self) -> String {
-        format!("device/blk/{}", self.name)
+impl Frontend for Blkfront {
+    fn link(&mut self) -> &mut FrontLink {
+        &mut self.link
     }
 
-    fn step_init(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        if !self.registered_watch {
-            self.xs.register_watcher(env.domid());
-            self.registered_watch = true;
-        }
-        let Some(backend) = self
-            .xs
-            .read(env, "backend-domid")
-            .and_then(|s| s.parse().ok())
-            .map(DomainId)
-        else {
-            return false;
-        };
-        self.backend = Some(backend);
-        let base = self.base();
+    fn advertise(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) {
+        let base = self.link.base();
+        let xs = &self.link.xs;
         let ring_page = SharedPage::new();
         let gref = env.grant(backend, ring_page.clone(), true);
         self.ring = Some(FrontRing::attach(ring_page));
         let domid = env.domid().0.to_string();
-        self.xs.write(env, &format!("{base}/frontend-domid"), &domid);
-        self.xs.write(env, &format!("{base}/ring"), &gref.0.to_string());
-        self.xs
-            .write(env, &format!("{base}/sectors"), &self.disk_sectors.to_string());
-        self.xs.write(env, &format!("{base}/state"), "initialising");
-        self.state = BlkFrontState::WaitPort;
-        true
+        xs.write(env, &format!("{base}/frontend-domid"), &domid);
+        xs.write(env, &format!("{base}/ring"), &gref.0.to_string());
+        xs.write(
+            env,
+            &format!("{base}/sectors"),
+            &self.disk_sectors.to_string(),
+        );
     }
 
-    fn step_wait_port(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let base = self.base();
-        let Some(port) = self
-            .xs
-            .read(env, &format!("{base}/event-port"))
-            .and_then(|s| s.parse().ok())
-            .map(Port)
-        else {
+    fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
+        let Some(port) = self.link.read_port(env, "event-port") else {
             return false;
         };
-        let backend = self.backend.expect("set in Init");
         let local = env.evtchn_bind(backend, port).expect("backend allocated");
         self.port = Some(local);
         for _ in 0..BLK_BUFFERS {
@@ -356,13 +403,11 @@ impl Blkfront {
             let gref = env.grant(backend, page.clone(), true);
             self.free_pages.push((gref, page));
         }
-        self.xs.write(env, &format!("{base}/state"), "connected");
-        env.observe(&format!("blk-connected:{}", self.name));
-        self.state = BlkFrontState::Connected;
+        self.link.write_state(env, "connected");
         true
     }
 
-    fn step_connected(&mut self, env: &mut DomainEnv<'_>) -> bool {
+    fn serve(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
         let port = self.port.expect("connected");
         let _ = env.evtchn_consume(port);
@@ -379,38 +424,14 @@ impl Blkfront {
             }
         }
         for (inflight, ok) in completions {
-            let data = if ok && inflight.op == BlkOp::Read {
-                let mut buf = vec![0u8; inflight.read_bytes];
-                inflight.page.read(|b| buf.copy_from_slice(&b[..inflight.read_bytes]));
-                Some(buf)
-            } else {
-                None
-            };
-            let _ = self.to_stack.send(BlkCompletion {
-                id: inflight.id,
-                ok,
-                data,
-            });
+            self.stack.complete(&inflight.req, ok, &inflight.page);
             self.free_pages.push((inflight.gref, inflight.page));
-            *self.requests_done.lock() += 1;
             progressed = true;
         }
 
         // Submissions.
-        while let Some(req) = self.from_stack.try_recv() {
-            self.backlog.push_back(req);
-        }
         let mut notify = false;
-        while let Some(req) = self.backlog.front() {
-            if req.count > MAX_SECTORS_PER_REQ || req.count == 0 {
-                let req = self.backlog.pop_front().expect("peeked");
-                let _ = self.to_stack.send(BlkCompletion {
-                    id: req.id,
-                    ok: false,
-                    data: None,
-                });
-                continue;
-            }
+        while self.stack.ready() {
             let Some((gref, page)) = self.free_pages.pop() else {
                 break;
             };
@@ -419,42 +440,12 @@ impl Blkfront {
                 self.free_pages.push((gref, page));
                 break;
             }
-            let req = self.backlog.pop_front().expect("peeked");
-            let bytes = req.count as usize * SECTOR_SIZE;
-            let op = match req.op {
-                BlkOp::Read => wire::OP_READ,
-                BlkOp::Write => {
-                    let data = req.data.as_deref().unwrap_or(&[]);
-                    let n = data.len().min(bytes);
-                    page.write(|b| b[..n].copy_from_slice(&data[..n]));
-                    // Direct write: one copy into the I/O page.
-                    let c = env.costs().copy(n);
-                    env.consume(c);
-                    wire::OP_WRITE
-                }
-            };
+            let (req, op) = self.stack.take(env, &page);
             let desc = wire::req(op, req.id, req.sector, req.count, gref.0);
-            match ring.push_request(&desc) {
-                Ok(n) => {
-                    notify |= n;
-                    self.inflight.insert(
-                        gref.0,
-                        Inflight {
-                            id: req.id,
-                            op: req.op,
-                            gref,
-                            page,
-                            read_bytes: bytes,
-                        },
-                    );
-                    progressed = true;
-                }
-                Err(_) => {
-                    self.free_pages.push((gref, page));
-                    self.backlog.push_front(req);
-                    break;
-                }
-            }
+            notify |= ring.push_request(&desc).expect("free_slots checked");
+            let req = Submitted::from(&req);
+            self.inflight.insert(gref.0, Inflight { req, gref, page });
+            progressed = true;
         }
         if notify {
             let _ = env.evtchn_notify(port);
@@ -468,18 +459,7 @@ impl Blkfront {
 
 impl DeviceService for Blkfront {
     fn service(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
-        match self.state {
-            BlkFrontState::Init => self.step_init(env),
-            BlkFrontState::WaitPort => {
-                let p = self.step_wait_port(env);
-                if matches!(self.state, BlkFrontState::Connected) {
-                    self.step_connected(env) || p
-                } else {
-                    p
-                }
-            }
-            BlkFrontState::Connected => self.step_connected(env),
-        }
+        self.service_pass(env)
     }
 
     fn watch_ports(&self) -> Vec<Port> {

@@ -158,10 +158,10 @@ impl NetDriver for Netfront {
         Backend::XenRing
     }
     fn mac(&self) -> [u8; 6] {
-        Netfront::mac(self)
+        self.mac
     }
     fn set_service_vcpu(&mut self, v: usize) {
-        Netfront::set_service_vcpu(self, v)
+        self.service_vcpu = v;
     }
 }
 
@@ -170,10 +170,10 @@ impl NetDriver for VirtioNet {
         Backend::Virtio
     }
     fn mac(&self) -> [u8; 6] {
-        VirtioNet::mac(self)
+        self.mac
     }
     fn set_service_vcpu(&mut self, v: usize) {
-        VirtioNet::set_service_vcpu(self, v)
+        self.service_vcpu = v;
     }
 }
 

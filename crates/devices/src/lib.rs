@@ -20,6 +20,7 @@
 //! The [`netfront::CopyDiscipline`] knob is how the conventional-OS
 //! baseline pays its syscall + user/kernel copy on the identical data path.
 
+mod backq;
 pub mod blk;
 pub mod driver;
 pub mod netback;

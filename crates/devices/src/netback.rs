@@ -9,16 +9,18 @@
 //! and services block requests against per-VBD [`SimulatedDisk`]s with the
 //! device's timing profile.
 //!
-//! The switch speaks both ring ABIs. A port is either a Xen-ring NIC
-//! (`device/net/...`, one TX/RX descriptor-ring pair) or a virtio NIC
-//! (`device/vnet/...`, one TX/RX split-virtqueue pair *per queue*, RSS
-//! classification on delivery); block service likewise covers Xen rings
-//! (`device/blk/...`) and virtio queues (`device/vblk/...`). Frames and
-//! requests from both families flow through the same forwarding, link
-//! conditioning, fault injection and timing paths, so a differential run
-//! only varies the transport.
+//! Both ring ABIs sit behind one [`BackQueue`]: a Xen-ring NIC
+//! (`device/net/...`) is a port with one TX/RX queue pair, a virtio NIC
+//! (`device/vnet/...`) a port with one pair per queue and RSS
+//! classification on delivery; a block device (`device/blk/...` or
+//! `device/vblk/...`) is one queue. Discovery is the only code that knows
+//! which ABI a device speaks. One switch loop and one block loop serve
+//! every port and device through the same forwarding, link conditioning,
+//! fault injection and timing paths, so a differential run only varies
+//! the transport.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use mirage_testkit::rng::Rng;
@@ -26,28 +28,15 @@ use mirage_testkit::sync::Mutex;
 
 use mirage_cstruct::PktBuf;
 use mirage_hypervisor::event::Port;
-use mirage_hypervisor::grant::{GrantRef, SharedPage};
+use mirage_hypervisor::grant::GrantRef;
 use mirage_hypervisor::{DomainEnv, DomainId, Dur, Guest, Step, Time, Wake};
-use mirage_ring::BackRing;
 
+use crate::backq::{BackQueue, BlkHeader, GrantCache, GuestBuf, Role, Token};
 use crate::blk::{wire as blkwire, DiskProfile, SimulatedDisk, SECTOR_SIZE};
 use crate::netem::{DiskFaultPlan, Netem};
-use crate::netfront::{gref_only, parse_gref, parse_tx_req, rx_rsp, MAX_FRAME};
-use crate::virtio::virtqueue::{split_addr, DeviceQueue};
-use crate::virtio::blk::{STATUS_IOERR, STATUS_OK};
+use crate::netfront::MAX_FRAME;
+use crate::virtio::virtqueue::{DeviceQueue, QueuePages};
 use crate::xenstore::Xenstore;
-
-/// A switch port, across both ring ABIs. Taps inject as
-/// [`PortRef::External`]: no MAC learning, no flood self-exclusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PortRef {
-    /// Index into the Xen-ring NIC table.
-    Xen(usize),
-    /// Index into the virtio NIC table.
-    Vnet(usize),
-    /// A host-side tap.
-    External,
-}
 
 /// Broadcast MAC.
 pub const MAC_BROADCAST: [u8; 6] = [0xFF; 6];
@@ -104,159 +93,58 @@ impl Tap {
     }
 }
 
-struct NetBackendInst {
-    base: String,
-    frontend: DomainId,
+/// One TX/RX queue pair of a switch port, with its event channel and the
+/// frames already classified to it.
+struct NetQueue {
     port: Port,
-    tx_ring: BackRing,
-    rx_ring: BackRing,
-    mapped: HashMap<u32, SharedPage>,
+    tx: BackQueue,
+    rx: BackQueue,
     out_queue: VecDeque<PktBuf>,
-    out_drops: u64,
+}
+
+/// A guest NIC on the switch.
+struct NetPort {
+    queues: Vec<NetQueue>,
+    grants: GrantCache,
     /// Set while the frontend has frames queued but no posted rx buffer —
     /// lets tail drops be attributed to a dead/stalled guest rather than
     /// ordinary congestion.
     rx_starved: bool,
 }
 
-/// A frame the link conditioner is holding until `release_at`.
-struct DelayedFrame {
-    release_at: Time,
-    seq: u64,
-    src: PortRef,
-    frame: PktBuf,
-}
-
-impl PartialEq for DelayedFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.release_at == other.release_at && self.seq == other.seq
-    }
-}
-impl Eq for DelayedFrame {}
-impl PartialOrd for DelayedFrame {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedFrame {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (release time, offer order): ties release in the
-        // order the conditioner saw them, keeping runs deterministic.
-        other
-            .release_at
-            .cmp(&self.release_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
+/// A block request in service until `done_at`. Heap order is the field
+/// order: completion time, then the guest's request id.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct PendingBlk {
     done_at: Time,
-    gref: GrantRef,
     id: u64,
-    is_read: bool,
+    token: Token,
+    req: BlkHeader,
+    data: GuestBuf,
     ok: bool,
-    sector: u64,
-    count: u16,
 }
 
-impl PartialEq for PendingBlk {
-    fn eq(&self, other: &Self) -> bool {
-        self.done_at == other.done_at && self.id == other.id
-    }
-}
-impl Eq for PendingBlk {}
-impl PartialOrd for PendingBlk {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingBlk {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by completion time.
-        other
-            .done_at
-            .cmp(&self.done_at)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-struct BlkBackendInst {
-    base: String,
-    frontend: DomainId,
+/// A guest block device and the disk behind it.
+struct BlkDev {
     port: Port,
-    ring: BackRing,
-    mapped: HashMap<u32, SharedPage>,
+    queue: BackQueue,
+    grants: GrantCache,
     disk: SimulatedDisk,
     busy_until: Time,
-    pending: BinaryHeap<PendingBlk>,
+    pending: BinaryHeap<Reverse<PendingBlk>>,
 }
 
-/// One virtqueue pair of a virtio NIC port, with its own event channel
-/// and per-queue output queue (frames already RSS-classified to it).
-struct VnetQueueBack {
-    port: Port,
-    tx: DeviceQueue,
-    rx: DeviceQueue,
-    out_queue: VecDeque<PktBuf>,
-}
+/// How a frontend family announces itself in xenstore, and how its
+/// backend attaches.
+type Attach = fn(&mut DriverDomain, &mut DomainEnv<'_>, &str) -> Option<()>;
 
-struct VnetBackendInst {
-    base: String,
-    frontend: DomainId,
-    queues: Vec<VnetQueueBack>,
-    mapped: HashMap<u32, SharedPage>,
-    out_drops: u64,
-    /// Set while the frontend has frames queued but no posted RX chain
-    /// (same dead-guest attribution as the Xen path).
-    rx_starved: bool,
-}
-
-/// A virtio block request in service, completing at `done_at`. The
-/// descriptor chain stays owned by the device until then; `data_addr` /
-/// `status_addr` are where the completion writes back.
-struct PendingVBlk {
-    done_at: Time,
-    head: u16,
-    id: u64,
-    is_read: bool,
-    ok: bool,
-    sector: u64,
-    count: u16,
-    data_addr: u64,
-    status_addr: u64,
-}
-
-impl PartialEq for PendingVBlk {
-    fn eq(&self, other: &Self) -> bool {
-        self.done_at == other.done_at && self.id == other.id
-    }
-}
-impl Eq for PendingVBlk {}
-impl PartialOrd for PendingVBlk {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingVBlk {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by completion time.
-        other
-            .done_at
-            .cmp(&self.done_at)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-struct VblkBackendInst {
-    base: String,
-    frontend: DomainId,
-    port: Port,
-    queue: DeviceQueue,
-    mapped: HashMap<u32, SharedPage>,
-    disk: SimulatedDisk,
-    busy_until: Time,
-    pending: BinaryHeap<PendingVBlk>,
-}
+/// Frontend families in discovery order.
+const FAMILIES: [(&str, Attach); 4] = [
+    ("device/net/", DriverDomain::attach_net),
+    ("device/blk/", DriverDomain::attach_blk),
+    ("device/vnet/", DriverDomain::attach_vnet),
+    ("device/vblk/", DriverDomain::attach_vblk),
+];
 
 /// Network fabric parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,31 +208,27 @@ pub struct DriverStats {
     pub blk_torn_writes: u64,
 }
 
-impl DriverStats {
-    /// Total frames dropped for any reason.
-    pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped_congestion + self.frames_dropped_netem + self.frames_dropped_no_rx_buffer
-    }
-}
-
 /// The dom0 guest: hosts every backend plus the virtual switch.
 pub struct DriverDomain {
     xs: Xenstore,
     registered: bool,
     net_profile: NetProfile,
     disk_profile: DiskProfile,
-    nics: Vec<NetBackendInst>,
-    blks: Vec<BlkBackendInst>,
-    vnets: Vec<VnetBackendInst>,
-    vblks: Vec<VblkBackendInst>,
+    /// Switch ports in discovery order; the index is the port's id.
+    nets: Vec<NetPort>,
+    blks: Vec<BlkDev>,
     seen: HashSet<String>,
-    mac_table: HashMap<[u8; 6], PortRef>,
+    mac_table: HashMap<[u8; 6], usize>,
     taps: Vec<Tap>,
     stats: Arc<Mutex<DriverStats>>,
     netem: Option<Netem>,
-    delayed: BinaryHeap<DelayedFrame>,
+    /// Frames the link conditioner holds, by (release time, offer order):
+    /// ties release in the order the conditioner saw them.
+    delayed: BTreeMap<(Time, u64), (Option<usize>, PktBuf)>,
     delay_seq: u64,
     disk_rng: Rng,
+    /// Scratch for the buffers of the request in hand.
+    bufs: Vec<GuestBuf>,
 }
 
 impl DriverDomain {
@@ -365,18 +249,17 @@ impl DriverDomain {
             registered: false,
             net_profile,
             disk_profile,
-            nics: Vec::new(),
+            nets: Vec::new(),
             blks: Vec::new(),
-            vnets: Vec::new(),
-            vblks: Vec::new(),
             seen: HashSet::new(),
             mac_table: HashMap::new(),
             taps: Vec::new(),
             stats: Arc::new(Mutex::new(DriverStats::default())),
             netem: None,
-            delayed: BinaryHeap::new(),
+            delayed: BTreeMap::new(),
             delay_seq: 0,
             disk_rng: Rng::for_stream(mirage_testkit::DEFAULT_SEED, "netback-disk-faults"),
+            bufs: Vec::new(),
         }
     }
 
@@ -403,215 +286,132 @@ impl DriverDomain {
         Arc::clone(&self.stats)
     }
 
+    /// Attaches every frontend that has announced itself (`state =
+    /// initialising`) since the last pass, family by family and by key
+    /// within a family. A port's index, and so its vCPU lane, follows
+    /// this order.
     fn discover(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
-        // Network frontends.
-        for key in self.xs.keys_with_prefix("device/net/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
+        for (prefix, attach) in FAMILIES {
+            for key in self.xs.keys_with_prefix(prefix) {
+                let Some(base) = key.strip_suffix("/state") else {
+                    continue;
+                };
+                if self.seen.contains(base)
+                    || self.xs.read(env, &key).as_deref() != Some("initialising")
+                {
+                    continue;
+                }
+                if attach(self, env, base).is_some() {
+                    self.seen.insert(base.to_owned());
+                    progressed = true;
+                }
             }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let read_u32 = |env: &mut DomainEnv<'_>, xs: &Xenstore, k: &str| {
-                xs.read(env, k).and_then(|s| s.parse::<u32>().ok())
-            };
-            let (Some(dom), Some(txg), Some(rxg)) = (
-                read_u32(env, &self.xs.clone(), &format!("{base}/frontend-domid")),
-                read_u32(env, &self.xs.clone(), &format!("{base}/tx-ring")),
-                read_u32(env, &self.xs.clone(), &format!("{base}/rx-ring")),
-            ) else {
-                continue;
-            };
-            let frontend = DomainId(dom);
-            let Ok(tx_page) = env.grant_map(GrantRef(txg), true) else {
-                continue;
-            };
-            let Ok(rx_page) = env.grant_map(GrantRef(rxg), true) else {
-                continue;
-            };
-            let port = env.evtchn_alloc_unbound(frontend);
-            self.xs
-                .write(env, &format!("{base}/event-port"), &port.0.to_string());
-            self.nics.push(NetBackendInst {
-                base: base.clone(),
-                frontend,
-                port,
-                tx_ring: BackRing::attach(tx_page),
-                rx_ring: BackRing::attach(rx_page),
-                mapped: HashMap::new(),
-                out_queue: VecDeque::new(),
-                out_drops: 0,
-                rx_starved: false,
-            });
-            self.seen.insert(base);
-            progressed = true;
-        }
-        // Block frontends.
-        for key in self.xs.keys_with_prefix("device/blk/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
-            }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let (Some(dom), Some(ring_gref), Some(sectors)) = (
-                self.xs
-                    .read(env, &format!("{base}/frontend-domid"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/ring"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/sectors"))
-                    .and_then(|s| s.parse::<u64>().ok()),
-            ) else {
-                continue;
-            };
-            let frontend = DomainId(dom);
-            let Ok(ring_page) = env.grant_map(GrantRef(ring_gref), true) else {
-                continue;
-            };
-            let port = env.evtchn_alloc_unbound(frontend);
-            self.xs
-                .write(env, &format!("{base}/event-port"), &port.0.to_string());
-            self.blks.push(BlkBackendInst {
-                base: base.clone(),
-                frontend,
-                port,
-                ring: BackRing::attach(ring_page),
-                mapped: HashMap::new(),
-                disk: SimulatedDisk::new(self.disk_profile, sectors),
-                busy_until: Time::ZERO,
-                pending: BinaryHeap::new(),
-            });
-            self.seen.insert(base);
-            progressed = true;
-        }
-        // Virtio network frontends: one split-virtqueue pair per queue,
-        // one event channel per queue.
-        for key in self.xs.keys_with_prefix("device/vnet/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
-            }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let (Some(dom), Some(queues)) = (
-                self.xs
-                    .read(env, &format!("{base}/frontend-domid"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/queues"))
-                    .and_then(|s| s.parse::<usize>().ok()),
-            ) else {
-                continue;
-            };
-            if queues == 0 {
-                continue;
-            }
-            let frontend = DomainId(dom);
-            let Some(backs) = self.attach_vnet_queues(env, &base, queues) else {
-                continue;
-            };
-            let mut inst = VnetBackendInst {
-                base: base.clone(),
-                frontend,
-                queues: Vec::with_capacity(queues),
-                mapped: HashMap::new(),
-                out_drops: 0,
-                rx_starved: false,
-            };
-            for (q, (tx, rx)) in backs.into_iter().enumerate() {
-                let port = env.evtchn_alloc_unbound(frontend);
-                self.xs.write(
-                    env,
-                    &format!("{base}/q{q}/event-port"),
-                    &port.0.to_string(),
-                );
-                inst.queues.push(VnetQueueBack {
-                    port,
-                    tx,
-                    rx,
-                    out_queue: VecDeque::new(),
-                });
-            }
-            self.vnets.push(inst);
-            self.seen.insert(base);
-            progressed = true;
-        }
-        // Virtio block frontends: one queue, three-descriptor chains.
-        for key in self.xs.keys_with_prefix("device/vblk/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
-            }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let (Some(dom), Some(sectors)) = (
-                self.xs
-                    .read(env, &format!("{base}/frontend-domid"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/sectors"))
-                    .and_then(|s| s.parse::<u64>().ok()),
-            ) else {
-                continue;
-            };
-            let frontend = DomainId(dom);
-            let Some(queue) = self.attach_device_queue(env, &base, "") else {
-                continue;
-            };
-            let port = env.evtchn_alloc_unbound(frontend);
-            self.xs
-                .write(env, &format!("{base}/event-port"), &port.0.to_string());
-            self.vblks.push(VblkBackendInst {
-                base: base.clone(),
-                frontend,
-                port,
-                queue,
-                mapped: HashMap::new(),
-                disk: SimulatedDisk::new(self.disk_profile, sectors),
-                busy_until: Time::ZERO,
-                pending: BinaryHeap::new(),
-            });
-            self.seen.insert(base);
-            progressed = true;
         }
         progressed
     }
 
-    /// Maps one queue's three granted areas (`{prefix}desc/avail/used`
+    fn read_field<T: std::str::FromStr>(
+        &self,
+        env: &mut DomainEnv<'_>,
+        base: &str,
+        field: &str,
+    ) -> Option<T> {
+        self.xs.read(env, &format!("{base}/{field}"))?.parse().ok()
+    }
+
+    /// Allocates the backend's event channel for `{base}/{prefix}` and
+    /// publishes it to the frontend.
+    fn publish_port(&self, env: &mut DomainEnv<'_>, base: &str, prefix: &str, dom: u32) -> Port {
+        let port = env.evtchn_alloc_unbound(DomainId(dom));
+        self.xs.write(
+            env,
+            &format!("{base}/{prefix}event-port"),
+            &port.0.to_string(),
+        );
+        port
+    }
+
+    /// A Xen-ring NIC: one TX and one RX descriptor ring.
+    fn attach_net(&mut self, env: &mut DomainEnv<'_>, base: &str) -> Option<()> {
+        let dom = self.read_field(env, base, "frontend-domid")?;
+        let tx: u32 = self.read_field(env, base, "tx-ring")?;
+        let rx: u32 = self.read_field(env, base, "rx-ring")?;
+        let tx = env.grant_map(GrantRef(tx), true).ok()?;
+        let rx = env.grant_map(GrantRef(rx), true).ok()?;
+        let queue = NetQueue {
+            port: self.publish_port(env, base, "", dom),
+            tx: BackQueue::ring(tx, Role::NetTx),
+            rx: BackQueue::ring(rx, Role::NetRx),
+            out_queue: VecDeque::new(),
+        };
+        self.add_net_port(vec![queue]);
+        Some(())
+    }
+
+    /// A Xen-ring block device: one descriptor ring.
+    fn attach_blk(&mut self, env: &mut DomainEnv<'_>, base: &str) -> Option<()> {
+        let dom = self.read_field(env, base, "frontend-domid")?;
+        let ring: u32 = self.read_field(env, base, "ring")?;
+        let sectors = self.read_field(env, base, "sectors")?;
+        let ring = env.grant_map(GrantRef(ring), true).ok()?;
+        let port = self.publish_port(env, base, "", dom);
+        self.add_blk_dev(port, BackQueue::ring(ring, Role::Blk), sectors);
+        Some(())
+    }
+
+    /// A virtio NIC: one TX/RX virtqueue pair and one event channel per
+    /// queue. Every queue is mapped before any port is published.
+    fn attach_vnet(&mut self, env: &mut DomainEnv<'_>, base: &str) -> Option<()> {
+        let dom = self.read_field(env, base, "frontend-domid")?;
+        let queues: usize = self.read_field(env, base, "queues")?;
+        if queues == 0 {
+            return None;
+        }
+        let mut pairs = Vec::new();
+        for q in 0..queues {
+            let tx = self.attach_virtq(env, base, &format!("q{q}/tx-"))?;
+            let rx = self.attach_virtq(env, base, &format!("q{q}/rx-"))?;
+            pairs.push((tx, rx));
+        }
+        let queues = pairs
+            .into_iter()
+            .enumerate()
+            .map(|(q, (tx, rx))| NetQueue {
+                port: self.publish_port(env, base, &format!("q{q}/"), dom),
+                tx: BackQueue::virtq(tx, Role::NetTx),
+                rx: BackQueue::virtq(rx, Role::NetRx),
+                out_queue: VecDeque::new(),
+            })
+            .collect();
+        self.add_net_port(queues);
+        Some(())
+    }
+
+    /// A virtio block device: one virtqueue of three-descriptor chains.
+    fn attach_vblk(&mut self, env: &mut DomainEnv<'_>, base: &str) -> Option<()> {
+        let dom = self.read_field(env, base, "frontend-domid")?;
+        let sectors = self.read_field(env, base, "sectors")?;
+        let queue = self.attach_virtq(env, base, "")?;
+        let port = self.publish_port(env, base, "", dom);
+        self.add_blk_dev(port, BackQueue::virtq(queue, Role::Blk), sectors);
+        Some(())
+    }
+
+    /// Maps one virtqueue's three granted areas (`{prefix}desc/avail/used`
     /// under `base`) and attaches the device half. The used area is the
     /// only one mapped writable — the device never touches descriptors or
     /// the avail ring.
-    fn attach_device_queue(
+    fn attach_virtq(
         &self,
         env: &mut DomainEnv<'_>,
         base: &str,
         prefix: &str,
     ) -> Option<DeviceQueue> {
-        let read_gref = |env: &mut DomainEnv<'_>, area: &str| {
-            self.xs
-                .read(env, &format!("{base}/{prefix}{area}"))
-                .and_then(|s| s.parse::<u32>().ok())
-        };
-        let desc = read_gref(env, "desc")?;
-        let avail = read_gref(env, "avail")?;
-        let used = read_gref(env, "used")?;
-        let pages = crate::virtio::virtqueue::QueuePages {
+        let desc: u32 = self.read_field(env, base, &format!("{prefix}desc"))?;
+        let avail: u32 = self.read_field(env, base, &format!("{prefix}avail"))?;
+        let used: u32 = self.read_field(env, base, &format!("{prefix}used"))?;
+        let pages = QueuePages {
             desc: env.grant_map(GrantRef(desc), false).ok()?,
             avail: env.grant_map(GrantRef(avail), false).ok()?,
             used: env.grant_map(GrantRef(used), true).ok()?,
@@ -619,48 +419,35 @@ impl DriverDomain {
         Some(DeviceQueue::attach(pages))
     }
 
-    /// Maps every queue pair of a vnet frontend, or `None` if any grant
-    /// is not yet visible (the frontend writes them all before flipping
-    /// its state, so a partial read means a malformed handshake).
-    fn attach_vnet_queues(
-        &self,
-        env: &mut DomainEnv<'_>,
-        base: &str,
-        queues: usize,
-    ) -> Option<Vec<(DeviceQueue, DeviceQueue)>> {
-        let mut out = Vec::with_capacity(queues);
-        for q in 0..queues {
-            let tx = self.attach_device_queue(env, base, &format!("q{q}/tx-"))?;
-            let rx = self.attach_device_queue(env, base, &format!("q{q}/rx-"))?;
-            out.push((tx, rx));
-        }
-        Some(out)
+    fn add_net_port(&mut self, queues: Vec<NetQueue>) {
+        self.nets.push(NetPort {
+            queues,
+            grants: GrantCache::default(),
+            rx_starved: false,
+        });
     }
 
-    fn map_cached(
-        env: &mut DomainEnv<'_>,
-        cache: &mut HashMap<u32, SharedPage>,
-        gref: u32,
-        writable: bool,
-    ) -> Option<SharedPage> {
-        if let Some(p) = cache.get(&gref) {
-            return Some(p.clone());
-        }
-        let page = env.grant_map(GrantRef(gref), writable).ok()?;
-        cache.insert(gref, page.clone());
-        Some(page)
+    fn add_blk_dev(&mut self, port: Port, queue: BackQueue, sectors: u64) {
+        self.blks.push(BlkDev {
+            port,
+            queue,
+            grants: GrantCache::default(),
+            disk: SimulatedDisk::new(self.disk_profile, sectors),
+            busy_until: Time::ZERO,
+            pending: BinaryHeap::new(),
+        });
     }
 
-    /// Route `frame` from `src` to its destination queue(s), across both
-    /// port families. Multi-port delivery (taps, floods) clones the
-    /// `PktBuf` — a refcount bump, never a byte copy.
-    fn route(&mut self, src: PortRef, frame: PktBuf) {
+    /// Route `frame` from port `src` (`None`: a tap) to its destination
+    /// queue(s). Multi-port delivery (taps, floods) clones the `PktBuf` —
+    /// a refcount bump, never a byte copy.
+    fn route(&mut self, src: Option<usize>, frame: PktBuf) {
         if frame.len() < 14 {
             return;
         }
         let dst: [u8; 6] = frame[0..6].try_into().expect("checked length");
         let src_mac: [u8; 6] = frame[6..12].try_into().expect("checked length");
-        if src != PortRef::External {
+        if let Some(src) = src {
             self.mac_table.insert(src_mac, src);
         }
         self.stats.lock().frames_switched += 1;
@@ -683,15 +470,10 @@ impl DriverDomain {
                 if tap_hit && dst != MAC_BROADCAST {
                     return;
                 }
-                // Flood to every other port, both families.
-                for idx in 0..self.nics.len() {
-                    if PortRef::Xen(idx) != src {
-                        self.deliver(PortRef::Xen(idx), frame.clone());
-                    }
-                }
-                for idx in 0..self.vnets.len() {
-                    if PortRef::Vnet(idx) != src {
-                        self.deliver(PortRef::Vnet(idx), frame.clone());
+                // Flood to every other port.
+                for port in 0..self.nets.len() {
+                    if Some(port) != src {
+                        self.deliver(port, frame.clone());
                     }
                 }
             }
@@ -699,30 +481,16 @@ impl DriverDomain {
     }
 
     /// Queues `frame` at a port, tail-dropping when its output queue is
-    /// full. Virtio ports classify into a per-queue output queue with the
-    /// same RSS hash the stack's demux uses, so every flow lands on the
-    /// virtqueue — and vCPU — owning its shard.
-    fn deliver(&mut self, port: PortRef, frame: PktBuf) {
-        let (queue, drops, starved) = match port {
-            PortRef::Xen(idx) => {
-                let nic = &mut self.nics[idx];
-                (&mut nic.out_queue, &mut nic.out_drops, nic.rx_starved)
-            }
-            PortRef::Vnet(idx) => {
-                let vnet = &mut self.vnets[idx];
-                let q = crate::rss::rx_queue(&frame, vnet.queues.len());
-                (
-                    &mut vnet.queues[q].out_queue,
-                    &mut vnet.out_drops,
-                    vnet.rx_starved,
-                )
-            }
-            PortRef::External => return,
-        };
+    /// full. A multi-queue port classifies into a per-queue output queue
+    /// with the same RSS hash the stack's demux uses, so every flow lands
+    /// on the queue — and vCPU — owning its shard.
+    fn deliver(&mut self, port: usize, frame: PktBuf) {
+        let port = &mut self.nets[port];
+        let q = crate::rss::rx_queue(&frame, port.queues.len());
+        let queue = &mut port.queues[q].out_queue;
         if queue.len() >= OUT_QUEUE_CAP {
-            *drops += 1;
             let mut s = self.stats.lock();
-            if starved {
+            if port.rx_starved {
                 s.frames_dropped_no_rx_buffer += 1;
             } else {
                 s.frames_dropped_congestion += 1;
@@ -733,9 +501,9 @@ impl DriverDomain {
     }
 
     /// Offer a frame to the link conditioner (if any) before switching it.
-    /// Conditioned frames may be dropped, duplicated, corrupted or held in
-    /// the delay heap until their release time.
-    fn offer(&mut self, now: Time, src: PortRef, frame: PktBuf) {
+    /// Conditioned frames may be dropped, duplicated, corrupted or held
+    /// until their release time.
+    fn offer(&mut self, now: Time, src: Option<usize>, frame: PktBuf) {
         let outs = match self.netem.as_mut() {
             None => {
                 self.route(src, frame);
@@ -752,12 +520,8 @@ impl DriverDomain {
                 self.route(src, frame);
             } else {
                 self.delay_seq += 1;
-                self.delayed.push(DelayedFrame {
-                    release_at,
-                    seq: self.delay_seq,
-                    src,
-                    frame,
-                });
+                self.delayed
+                    .insert((release_at, self.delay_seq), (src, frame));
             }
         }
     }
@@ -766,86 +530,40 @@ impl DriverDomain {
         let mut progressed = false;
         // Release frames whose conditioner-imposed delay has elapsed.
         let now = env.now();
-        while self
-            .delayed
-            .peek()
-            .map(|d| d.release_at <= now)
-            .unwrap_or(false)
-        {
-            let d = self.delayed.pop().expect("peeked");
-            self.route(d.src, d.frame);
+        while let Some(entry) = self.delayed.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            let (src, frame) = entry.remove();
+            self.route(src, frame);
             progressed = true;
         }
         // Ingest frames from guests. On a multi-vCPU driver domain each
-        // NIC's wire serialisation is charged on its own lane (a
+        // port's wire serialisation is charged on its own lane (a
         // multi-queue switch port), so two saturated ports don't
         // serialise behind one core; a 1-vCPU dom0 behaves as before.
         let entry_lane = env.current_vcpu();
-        let mut routed: Vec<(PortRef, PktBuf)> = Vec::new();
-        for (idx, nic) in self.nics.iter_mut().enumerate() {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let mut routed: Vec<(Option<usize>, PktBuf)> = Vec::new();
+        for (idx, port) in self.nets.iter_mut().enumerate() {
             env.on_vcpu(idx % env.vcpus());
-            let _ = env.evtchn_consume(nic.port);
-            let mut notify = false;
-            while let Some(req) = nic.tx_ring.take_request() {
-                let Some((gref, len)) = parse_tx_req(&req) else {
-                    continue;
-                };
-                let Some(page) = Self::map_cached(env, &mut nic.mapped, gref, false) else {
-                    continue;
-                };
-                // Reading the granted page models the NIC's DMA; once off
-                // the wire the frame travels through the switch by
-                // reference.
-                let mut frame = vec![0u8; len as usize];
-                page.read(|b| frame.copy_from_slice(&b[..len as usize]));
-                // Wire serialisation time for this NIC.
-                env.consume(self.net_profile.wire_time(frame.len()));
-                routed.push((PortRef::Xen(idx), PktBuf::from_vec(frame)));
-                notify |= nic.tx_ring.push_response(&gref_only(gref)).unwrap_or(false);
-                progressed = true;
-            }
-            if notify {
-                let _ = env.evtchn_notify(nic.port);
-            }
-        }
-        // Ingest frames from virtio TX virtqueues: pop the chain, read
-        // the (single readable) buffer, return the chain with a used
-        // entry. Doorbell discipline mirrors the frontend: at most one
-        // interrupt per queue per pass.
-        for (idx, vnet) in self.vnets.iter_mut().enumerate() {
-            env.on_vcpu(idx % env.vcpus());
-            for qb in vnet.queues.iter_mut() {
-                let _ = env.evtchn_consume(qb.port);
-                let mut notify = false;
-                while let Some(chain) = qb.tx.pop_avail() {
-                    let mut frame = Vec::new();
-                    for &(addr, len, device_writes) in &chain.bufs {
-                        if device_writes {
-                            continue; // TX payloads are read-only buffers
-                        }
-                        let (gref, off) = split_addr(addr);
-                        let len = len as usize;
-                        let Some(page) = Self::map_cached(env, &mut vnet.mapped, gref, false)
-                        else {
-                            continue;
-                        };
-                        if off + len > mirage_hypervisor::PAGE_SIZE {
-                            continue;
-                        }
-                        let start = frame.len();
-                        frame.resize(start + len, 0);
-                        page.read(|b| frame[start..].copy_from_slice(&b[off..off + len]));
-                    }
-                    notify |= qb.tx.push_used(chain.head, 0);
-                    if frame.is_empty() || frame.len() > MAX_FRAME {
+            for q in &mut port.queues {
+                let _ = env.evtchn_consume(q.port);
+                while let Some((token, _)) = q.tx.pop(env, &mut port.grants, &mut bufs) {
+                    // Reading the granted pages models the NIC's DMA; once
+                    // off the wire the frame travels through the switch by
+                    // reference.
+                    let frame = read_frame(env, &mut port.grants, &bufs);
+                    q.tx.complete(env, &mut port.grants, token, 0, true);
+                    let Some(frame) = frame else {
                         continue;
-                    }
+                    };
                     env.consume(self.net_profile.wire_time(frame.len()));
-                    routed.push((PortRef::Vnet(idx), PktBuf::from_vec(frame)));
+                    routed.push((Some(idx), PktBuf::from_vec(frame)));
                     progressed = true;
                 }
-                if notify {
-                    let _ = env.evtchn_notify(qb.port);
+                if q.tx.take_notify() {
+                    let _ = env.evtchn_notify(q.port);
                 }
             }
         }
@@ -862,106 +580,66 @@ impl DriverDomain {
                 let Some(frame) = frame else { break };
                 env.consume(self.net_profile.wire_time(frame.len()));
                 let now = env.now();
-                self.offer(now, PortRef::External, frame);
+                self.offer(now, None, frame);
                 progressed = true;
             }
         }
         // Deliver queued frames into posted rx buffers.
-        for nic in &mut self.nics {
-            let mut notify = false;
-            while nic.out_queue.front().is_some() {
-                let Some(req) = nic.rx_ring.take_request() else {
-                    nic.rx_starved = true;
-                    break;
-                };
-                nic.rx_starved = false;
-                let Some(gref) = parse_gref(&req) else {
-                    continue;
-                };
-                let Some(page) = Self::map_cached(env, &mut nic.mapped, gref, true) else {
-                    continue;
-                };
-                let frame = nic.out_queue.pop_front().expect("peeked");
-                page.write(|b| b[..frame.len()].copy_from_slice(&frame));
-                notify |= nic
-                    .rx_ring
-                    .push_response(&rx_rsp(gref, frame.len() as u16))
-                    .unwrap_or(false);
-                progressed = true;
-            }
-            if notify {
-                let _ = env.evtchn_notify(nic.port);
-            }
-        }
-        // Deliver queued frames into posted virtio RX chains, per queue.
-        for vnet in &mut self.vnets {
-            for qb in vnet.queues.iter_mut() {
-                let mut notify = false;
-                while let Some(frame) = qb.out_queue.front() {
-                    let flen = frame.len();
-                    let Some(chain) = qb.rx.pop_avail() else {
-                        vnet.rx_starved = true;
+        for port in &mut self.nets {
+            for q in &mut port.queues {
+                while let Some(frame) = q.out_queue.front() {
+                    let len = frame.len();
+                    let Some((token, _)) = q.rx.pop(env, &mut port.grants, &mut bufs) else {
+                        port.rx_starved = true;
                         break;
                     };
-                    vnet.rx_starved = false;
-                    // The frontend posts single-page writable chains; take
-                    // the first device-writable buffer with capacity.
-                    let target = chain.bufs.iter().copied().find(|&(addr, len, w)| {
-                        let (_, off) = split_addr(addr);
-                        w && len as usize >= flen
-                            && off + flen <= mirage_hypervisor::PAGE_SIZE
-                    });
-                    let Some((addr, _, _)) = target else {
-                        // Undeliverable chain (too small / read-only):
-                        // return it empty and keep the frame queued.
-                        notify |= qb.rx.push_used(chain.head, 0);
+                    port.rx_starved = false;
+                    // The first buffer the backend may write that holds
+                    // the frame.
+                    let target = bufs
+                        .iter()
+                        .find(|b| b.writable && b.len >= len)
+                        .and_then(|b| Some((*b, port.grants.map(env, b.gref, true)?)));
+                    let Some((buf, page)) = target else {
+                        // Undeliverable (too small, read-only or not
+                        // mapped): hand it back empty, keep the frame.
+                        q.rx.complete(env, &mut port.grants, token, 0, true);
                         continue;
                     };
-                    let (gref, off) = split_addr(addr);
-                    let Some(page) = Self::map_cached(env, &mut vnet.mapped, gref, true)
-                    else {
-                        notify |= qb.rx.push_used(chain.head, 0);
-                        continue;
-                    };
-                    let frame = qb.out_queue.pop_front().expect("peeked");
-                    page.write(|b| b[off..off + flen].copy_from_slice(&frame));
-                    notify |= qb.rx.push_used(chain.head, flen as u32);
+                    let frame = q.out_queue.pop_front().expect("peeked");
+                    page.write(|b| b[buf.off..buf.off + len].copy_from_slice(&frame));
+                    q.rx.complete(env, &mut port.grants, token, len, true);
                     progressed = true;
                 }
-                if notify {
-                    let _ = env.evtchn_notify(qb.port);
+                if q.rx.take_notify() {
+                    let _ = env.evtchn_notify(q.port);
                 }
             }
         }
+        self.bufs = bufs;
         progressed
     }
 
     fn service_blk(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
-        for blk in &mut self.blks {
-            let _ = env.evtchn_consume(blk.port);
+        let mut bufs = std::mem::take(&mut self.bufs);
+        for dev in &mut self.blks {
+            let _ = env.evtchn_consume(dev.port);
             // Accept new requests, scheduling their completion times.
-            while let Some(req) = blk.ring.take_request() {
-                let Some((op, id, sector, count, gref)) = blkwire::parse_req(&req) else {
+            while let Some((token, req)) = dev.queue.pop(env, &mut dev.grants, &mut bufs) {
+                progressed = true;
+                let (Some(req), &[data]) = (req, &bufs[..]) else {
+                    dev.queue.complete(env, &mut dev.grants, token, 0, false);
                     continue;
                 };
-                let bytes = count as usize * SECTOR_SIZE;
-                let in_range = sector + count as u64 <= blk.disk.sectors();
-                if !in_range {
-                    // Fail immediately.
-                    let notify = blk
-                        .ring
-                        .push_response(&blkwire::rsp(id, false, gref))
-                        .unwrap_or(false);
-                    if notify {
-                        let _ = env.evtchn_notify(blk.port);
-                    }
+                if !blk_request_fits(&req, &data, dev.disk.sectors()) {
+                    dev.queue.complete(env, &mut dev.grants, token, 0, false);
                     continue;
                 }
-                let is_read = op == blkwire::OP_READ;
-                let faults = blk.disk.profile().faults.unwrap_or_default();
+                let bytes = req.count as usize * SECTOR_SIZE;
+                let faults = dev.disk.profile().faults.unwrap_or_default();
                 let mut ok = true;
-                if is_read {
+                if req.op == blkwire::OP_READ {
                     if DiskFaultPlan::hit(&mut self.disk_rng, faults.read_error_ppm) {
                         // Transient read failure: data stays intact, the
                         // completion reports failure.
@@ -970,11 +648,9 @@ impl DriverDomain {
                     }
                 } else {
                     // Writes capture the data now (the page may be reused).
-                    let mut data = vec![0u8; bytes];
-                    if let Some(page) =
-                        Self::map_cached(env, &mut blk.mapped, gref, false)
-                    {
-                        page.read(|b| data.copy_from_slice(&b[..bytes]));
+                    let mut bytes_in = vec![0u8; bytes];
+                    if let Some(page) = dev.grants.map(env, data.gref, false) {
+                        page.read(|b| bytes_in.copy_from_slice(&b[data.off..data.off + bytes]));
                     }
                     if DiskFaultPlan::hit(&mut self.disk_rng, faults.write_error_ppm) {
                         // Transient write failure: nothing persists.
@@ -984,206 +660,52 @@ impl DriverDomain {
                         // Torn write: only a sector prefix persists — the
                         // on-disk state a power cut mid-request would leave.
                         ok = false;
-                        let keep =
-                            self.disk_rng.gen_range(0..count) as usize * SECTOR_SIZE;
-                        blk.disk.write(sector, &data[..keep]);
+                        let keep = self.disk_rng.gen_range(0..req.count) as usize * SECTOR_SIZE;
+                        dev.disk.write(req.sector, &bytes_in[..keep]);
                         self.stats.lock().blk_torn_writes += 1;
                     } else {
-                        blk.disk.write(sector, &data);
+                        dev.disk.write(req.sector, &bytes_in);
                     }
                 }
                 // The device pipelines: occupancy is the transfer time
                 // only, while the fixed latency overlaps across queued
                 // requests (NCQ on the paper's PCIe SSD).
-                let start = blk.busy_until.max(env.now());
-                let transfer = blk.disk.profile().transfer_time(bytes);
-                let done_at = start + transfer + blk.disk.profile().latency;
-                blk.busy_until = start + transfer;
-                blk.pending.push(PendingBlk {
-                    done_at,
-                    gref: GrantRef(gref),
-                    id,
-                    is_read,
+                let start = dev.busy_until.max(env.now());
+                let transfer = dev.disk.profile().transfer_time(bytes);
+                dev.busy_until = start + transfer;
+                dev.pending.push(Reverse(PendingBlk {
+                    done_at: start + transfer + dev.disk.profile().latency,
+                    id: req.id,
+                    token,
+                    req,
+                    data,
                     ok,
-                    sector,
-                    count,
-                });
-                progressed = true;
+                }));
             }
             // Complete requests whose service time has elapsed.
             let now = env.now();
-            let mut notify = false;
-            while blk
-                .pending
-                .peek()
-                .map(|p| p.done_at <= now)
-                .unwrap_or(false)
-            {
-                let p = blk.pending.pop().expect("peeked");
-                if p.is_read && p.ok {
-                    let data = blk.disk.read(p.sector, p.count);
-                    if let Some(page) =
-                        Self::map_cached(env, &mut blk.mapped, p.gref.0, true)
-                    {
-                        page.write(|b| b[..data.len()].copy_from_slice(&data));
+            while dev.pending.peek().is_some_and(|p| p.0.done_at <= now) {
+                let Reverse(p) = dev.pending.pop().expect("peeked");
+                let mut written = 0;
+                if p.req.op == blkwire::OP_READ && p.ok {
+                    let bytes = dev.disk.read(p.req.sector, p.req.count);
+                    if let Some(page) = dev.grants.map(env, p.data.gref, true) {
+                        page.write(|b| {
+                            b[p.data.off..p.data.off + bytes.len()].copy_from_slice(&bytes)
+                        });
                     }
+                    written = bytes.len();
                 }
-                notify |= blk
-                    .ring
-                    .push_response(&blkwire::rsp(p.id, p.ok, p.gref.0))
-                    .unwrap_or(false);
+                dev.queue
+                    .complete(env, &mut dev.grants, p.token, written, p.ok);
                 self.stats.lock().blk_completed += 1;
                 progressed = true;
             }
-            if notify {
-                let _ = env.evtchn_notify(blk.port);
+            if dev.queue.take_notify() {
+                let _ = env.evtchn_notify(dev.port);
             }
         }
-        progressed
-    }
-
-    /// Writes a virtio-blk status byte through the grant cache.
-    fn write_status(
-        env: &mut DomainEnv<'_>,
-        mapped: &mut HashMap<u32, SharedPage>,
-        addr: u64,
-        status: u8,
-    ) {
-        let (gref, off) = split_addr(addr);
-        if off >= mirage_hypervisor::PAGE_SIZE {
-            return;
-        }
-        if let Some(page) = Self::map_cached(env, mapped, gref, true) {
-            page.write(|b| b[off] = status);
-        }
-    }
-
-    /// Services virtio block queues: the same disk, fault plan and
-    /// NCQ-pipelined timing as [`Self::service_blk`], over
-    /// header/data/status descriptor chains instead of ring slots.
-    fn service_vblk(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let mut progressed = false;
-        for vblk in &mut self.vblks {
-            let _ = env.evtchn_consume(vblk.port);
-            let mut notify = false;
-            // Accept new chains, scheduling their completion times.
-            while let Some(chain) = vblk.queue.pop_avail() {
-                progressed = true;
-                // Expected shape: [header ro][data][status wo, 1 byte].
-                let shaped = chain.bufs.len() == 3
-                    && !chain.bufs[0].2
-                    && chain.bufs[0].1 == 23
-                    && chain.bufs[2].2
-                    && chain.bufs[2].1 == 1;
-                if !shaped {
-                    notify |= vblk.queue.push_used(chain.head, 0);
-                    continue;
-                }
-                let (hdr_addr, _, _) = chain.bufs[0];
-                let (data_addr, data_len, data_writable) = chain.bufs[1];
-                let (status_addr, _, _) = chain.bufs[2];
-                let (hgref, hoff) = split_addr(hdr_addr);
-                let header = Self::map_cached(env, &mut vblk.mapped, hgref, false)
-                    .filter(|_| hoff + 23 <= mirage_hypervisor::PAGE_SIZE)
-                    .map(|page| page.read(|b| b[hoff..hoff + 23].to_vec()));
-                let Some(header) = header else {
-                    notify |= vblk.queue.push_used(chain.head, 0);
-                    continue;
-                };
-                let Some((op, id, sector, count, _gref)) = blkwire::parse_req(&header)
-                else {
-                    Self::write_status(env, &mut vblk.mapped, status_addr, STATUS_IOERR);
-                    notify |= vblk.queue.push_used(chain.head, 1);
-                    continue;
-                };
-                let bytes = count as usize * SECTOR_SIZE;
-                let (_, doff) = split_addr(data_addr);
-                let is_read = op == blkwire::OP_READ;
-                let in_range = sector + count as u64 <= vblk.disk.sectors();
-                let data_fits = bytes <= data_len as usize
-                    && doff + bytes <= mirage_hypervisor::PAGE_SIZE;
-                if !in_range || !data_fits || (is_read && !data_writable) {
-                    Self::write_status(env, &mut vblk.mapped, status_addr, STATUS_IOERR);
-                    notify |= vblk.queue.push_used(chain.head, 1);
-                    continue;
-                }
-                let faults = vblk.disk.profile().faults.unwrap_or_default();
-                let mut ok = true;
-                if is_read {
-                    if DiskFaultPlan::hit(&mut self.disk_rng, faults.read_error_ppm) {
-                        ok = false;
-                        self.stats.lock().blk_read_errors += 1;
-                    }
-                } else {
-                    // Writes capture the data now (the page may be reused).
-                    let mut data = vec![0u8; bytes];
-                    let (dgref, doff) = split_addr(data_addr);
-                    if let Some(page) =
-                        Self::map_cached(env, &mut vblk.mapped, dgref, false)
-                    {
-                        page.read(|b| data.copy_from_slice(&b[doff..doff + bytes]));
-                    }
-                    if DiskFaultPlan::hit(&mut self.disk_rng, faults.write_error_ppm) {
-                        ok = false;
-                        self.stats.lock().blk_write_errors += 1;
-                    } else if DiskFaultPlan::hit(&mut self.disk_rng, faults.torn_write_ppm) {
-                        ok = false;
-                        let keep =
-                            self.disk_rng.gen_range(0..count) as usize * SECTOR_SIZE;
-                        vblk.disk.write(sector, &data[..keep]);
-                        self.stats.lock().blk_torn_writes += 1;
-                    } else {
-                        vblk.disk.write(sector, &data);
-                    }
-                }
-                // Same NCQ pipelining as the Xen path: occupancy is the
-                // transfer time, fixed latency overlaps queued requests.
-                let start = vblk.busy_until.max(env.now());
-                let transfer = vblk.disk.profile().transfer_time(bytes);
-                let done_at = start + transfer + vblk.disk.profile().latency;
-                vblk.busy_until = start + transfer;
-                vblk.pending.push(PendingVBlk {
-                    done_at,
-                    head: chain.head,
-                    id,
-                    is_read,
-                    ok,
-                    sector,
-                    count,
-                    data_addr,
-                    status_addr,
-                });
-            }
-            // Complete chains whose service time has elapsed.
-            let now = env.now();
-            while vblk
-                .pending
-                .peek()
-                .map(|p| p.done_at <= now)
-                .unwrap_or(false)
-            {
-                let p = vblk.pending.pop().expect("peeked");
-                let mut written = 1u32; // the status byte
-                if p.is_read && p.ok {
-                    let data = vblk.disk.read(p.sector, p.count);
-                    let (gref, off) = split_addr(p.data_addr);
-                    if let Some(page) =
-                        Self::map_cached(env, &mut vblk.mapped, gref, true)
-                    {
-                        page.write(|b| b[off..off + data.len()].copy_from_slice(&data));
-                    }
-                    written += data.len() as u32;
-                }
-                let status = if p.ok { STATUS_OK } else { STATUS_IOERR };
-                Self::write_status(env, &mut vblk.mapped, p.status_addr, status);
-                notify |= vblk.queue.push_used(p.head, written);
-                self.stats.lock().blk_completed += 1;
-                progressed = true;
-            }
-            if notify {
-                let _ = env.evtchn_notify(vblk.port);
-            }
-        }
+        self.bufs = bufs;
         progressed
     }
 
@@ -1191,16 +713,43 @@ impl DriverDomain {
         let blk = self
             .blks
             .iter()
-            .filter_map(|b| b.pending.peek().map(|p| p.done_at))
+            .filter_map(|b| b.pending.peek().map(|p| p.0.done_at))
             .min();
-        let vblk = self
-            .vblks
-            .iter()
-            .filter_map(|b| b.pending.peek().map(|p| p.done_at))
-            .min();
-        let net = self.delayed.peek().map(|d| d.release_at);
-        [blk, vblk, net].into_iter().flatten().min()
+        let net = self.delayed.keys().next().map(|&(at, _)| at);
+        blk.into_iter().chain(net).min()
     }
+}
+
+/// Copies the readable buffers of a guest's TX request out as one frame,
+/// or `None` if they hold no frame: the one check on guest-supplied frame
+/// lengths, for both ABIs.
+fn read_frame(
+    env: &mut DomainEnv<'_>,
+    grants: &mut GrantCache,
+    bufs: &[GuestBuf],
+) -> Option<Vec<u8>> {
+    let len: usize = bufs.iter().filter(|b| !b.writable).map(|b| b.len).sum();
+    if len == 0 || len > MAX_FRAME {
+        return None;
+    }
+    let mut frame = Vec::with_capacity(len);
+    for b in bufs.iter().filter(|b| !b.writable) {
+        let page = grants.map(env, b.gref, false)?;
+        page.read(|p| frame.extend_from_slice(&p[b.off..b.off + b.len]));
+    }
+    Some(frame)
+}
+
+/// Whether a block request names at least one sector, stays inside the
+/// disk and fits its data buffer: the one check on guest-supplied sector
+/// ranges, for both ABIs.
+fn blk_request_fits(req: &BlkHeader, data: &GuestBuf, sectors: u64) -> bool {
+    let in_disk = req
+        .sector
+        .checked_add(u64::from(req.count))
+        .is_some_and(|end| end <= sectors);
+    let writable = data.writable || req.op != blkwire::OP_READ;
+    in_disk && req.count > 0 && req.count as usize * SECTOR_SIZE <= data.len && writable
 }
 
 impl Guest for DriverDomain {
@@ -1215,40 +764,26 @@ impl Guest for DriverDomain {
             let mut progressed = self.discover(env);
             progressed |= self.service_net(env);
             progressed |= self.service_blk(env);
-            progressed |= self.service_vblk(env);
             // Arm request notifications before blocking; any race means
             // another pass instead of a sleep.
-            for nic in &mut self.nics {
-                progressed |= nic.tx_ring.enable_request_notifications();
-                if !nic.out_queue.is_empty() {
-                    progressed |= nic.rx_ring.enable_request_notifications();
+            for q in self.nets.iter_mut().flat_map(|p| p.queues.iter_mut()) {
+                progressed |= q.tx.arm();
+                if !q.out_queue.is_empty() {
+                    progressed |= q.rx.arm();
                 }
             }
-            for vnet in &mut self.vnets {
-                for qb in vnet.queues.iter_mut() {
-                    progressed |= qb.tx.enable_avail_notifications();
-                    if !qb.out_queue.is_empty() {
-                        progressed |= qb.rx.enable_avail_notifications();
-                    }
-                }
-            }
-            for blk in &mut self.blks {
-                progressed |= blk.ring.enable_request_notifications();
-            }
-            for vblk in &mut self.vblks {
-                progressed |= vblk.queue.enable_avail_notifications();
+            for dev in &mut self.blks {
+                progressed |= dev.queue.arm();
             }
             if !progressed {
                 break;
             }
         }
         let ports: Vec<Port> = self
-            .nics
+            .nets
             .iter()
-            .map(|n| n.port)
-            .chain(self.vnets.iter().flat_map(|v| v.queues.iter().map(|q| q.port)))
+            .flat_map(|p| p.queues.iter().map(|q| q.port))
             .chain(self.blks.iter().map(|b| b.port))
-            .chain(self.vblks.iter().map(|b| b.port))
             .collect();
         Step::Yield(Wake {
             deadline: self.next_deadline(),
@@ -1260,40 +795,9 @@ impl Guest for DriverDomain {
 impl std::fmt::Debug for DriverDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DriverDomain")
-            .field("nics", &self.nics.len())
-            .field("vnets", &self.vnets.len())
+            .field("nets", &self.nets.len())
             .field("blks", &self.blks.len())
-            .field("vblks", &self.vblks.len())
             .field("taps", &self.taps.len())
             .finish()
-    }
-}
-
-// Silence dead-code warnings on fields kept for debugging/telemetry.
-impl NetBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId, u64) {
-        (&self.base, self.frontend, self.out_drops)
-    }
-}
-
-impl BlkBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId) {
-        (&self.base, self.frontend)
-    }
-}
-
-impl VnetBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId, u64) {
-        (&self.base, self.frontend, self.out_drops)
-    }
-}
-
-impl VblkBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId) {
-        (&self.base, self.frontend)
     }
 }

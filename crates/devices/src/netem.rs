@@ -191,7 +191,7 @@ impl Netem {
         // Base delivery time: fixed delay plus uniform jitter.
         let mut extra = self.config.delay;
         if self.config.jitter > Dur::ZERO {
-            extra = extra + Dur::nanos(self.rng.gen_range(0..=self.config.jitter.as_nanos()));
+            extra += Dur::nanos(self.rng.gen_range(0..=self.config.jitter.as_nanos()));
         }
         if extra > Dur::ZERO {
             stats.delayed += 1;

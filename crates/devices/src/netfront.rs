@@ -21,12 +21,12 @@ use mirage_testkit::sync::Mutex;
 use mirage_cstruct::PktBuf;
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
-use mirage_hypervisor::{DomainEnv, DomainId};
+use mirage_hypervisor::{DomainEnv, DomainId, Dur};
 use mirage_ring::FrontRing;
 use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
-use crate::xenstore::Xenstore;
+use crate::xenstore::{FrontLink, Frontend, Xenstore};
 
 /// Receive buffers posted to the backend.
 pub const RX_BUFFERS: usize = 24;
@@ -90,17 +90,6 @@ impl std::fmt::Debug for NetHandle {
 }
 
 impl NetHandle {
-    /// Assembles a handle around a driver's queue endpoints (shared by
-    /// the Xen and virtio frontends).
-    pub(crate) fn new(
-        mac: [u8; 6],
-        tx: Sender<PktBuf>,
-        rx: Receiver<PktBuf>,
-        stats: Arc<Mutex<NetifStats>>,
-    ) -> NetHandle {
-        NetHandle { mac, tx, rx, stats }
-    }
-
     /// Current interface counters.
     pub fn stats(&self) -> NetifStats {
         *self.stats.lock()
@@ -146,44 +135,181 @@ mod desc {
 
 pub(crate) use desc::*;
 
-/// Prices moving `len` payload bytes from the stack into the granted I/O
-/// page, per the interface's [`CopyDiscipline`] — shared by both ring
-/// ABIs, so the architectural comparison is independent of the transport.
-pub(crate) fn charge_tx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
-    match discipline {
-        CopyDiscipline::ZeroCopy => {
-            // The single serialise-into-I/O-page write.
-            let c = env.costs().copy(len);
-            env.consume(c);
-        }
-        CopyDiscipline::UserKernelCopy => {
-            let c = env.costs().syscall + env.costs().copy(len) + env.costs().copy(len);
-            env.consume(c);
-        }
-    }
+/// The stack-facing side both network frontends share: one intake and
+/// one fan-out channel per queue, the interface counters, and the
+/// [`CopyDiscipline`] that prices moving payloads across the boundary
+/// (the same for both ring ABIs, so the architectural comparison is
+/// independent of the transport).
+pub(crate) struct StackQueues {
+    discipline: CopyDiscipline,
+    /// Per-queue TX intake (stack workers -> driver).
+    from_stack: Vec<Receiver<PktBuf>>,
+    /// Per-queue RX fan-out (driver -> stack workers).
+    to_stack: Vec<Sender<PktBuf>>,
+    stats: Arc<Mutex<NetifStats>>,
 }
 
-/// Prices receiving `len` payload bytes, per the [`CopyDiscipline`].
-pub(crate) fn charge_rx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
-    match discipline {
-        CopyDiscipline::ZeroCopy => {
+impl StackQueues {
+    /// Creates the channels of `queues` queues and one stack-facing
+    /// handle per queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queues` is zero.
+    pub fn new(
+        mac: [u8; 6],
+        discipline: CopyDiscipline,
+        queues: usize,
+    ) -> (StackQueues, Vec<NetHandle>) {
+        assert!(queues > 0, "a NIC needs at least one queue");
+        let stats = Arc::new(Mutex::new(NetifStats::default()));
+        let mut from_stack = Vec::with_capacity(queues);
+        let mut to_stack = Vec::with_capacity(queues);
+        let mut handles = Vec::with_capacity(queues);
+        for _ in 0..queues {
+            let (tx_in, tx_out) = channel::channel();
+            let (rx_in, rx_out) = channel::channel();
+            from_stack.push(tx_out);
+            to_stack.push(rx_in);
+            handles.push(NetHandle {
+                mac,
+                tx: tx_in,
+                rx: rx_out,
+                stats: Arc::clone(&stats),
+            });
+        }
+        let queues = StackQueues {
+            discipline,
+            from_stack,
+            to_stack,
+            stats,
+        };
+        (queues, handles)
+    }
+
+    /// Number of queues.
+    pub fn len(&self) -> usize {
+        self.to_stack.len()
+    }
+
+    /// A TX backlog that drops its oldest frame past `cap` frames.
+    pub fn backlog(&self, cap: usize) -> TxBacklog {
+        TxBacklog {
+            frames: VecDeque::new(),
+            cap,
+            stats: Arc::clone(&self.stats),
+        }
+    }
+
+    /// Moves every frame queue `q`'s stack worker has sent into
+    /// `backlog`.
+    pub fn take_sent(&mut self, q: usize, backlog: &mut TxBacklog) {
+        while let Some(frame) = self.from_stack[q].try_recv() {
+            backlog.push(q, frame);
+        }
+    }
+
+    /// Copies a `len`-byte frame (at most a page) out of its granted
+    /// receive page and hands it to the stack worker of queue `q`
+    /// (`None`: the queue the frame's RSS hash picks). The fan-out moves only an owned `PktBuf`
+    /// (an `Arc` refcount once the stack slices it), never bytes, and the
+    /// frame's RX cost is charged on the lane of the vCPU owning its
+    /// queue — the per-core ingress-ring model.
+    pub fn deliver(
+        &self,
+        env: &mut DomainEnv<'_>,
+        page: &SharedPage,
+        len: usize,
+        q: Option<usize>,
+    ) {
+        // Reading the granted page models the DMA transfer, so it is
+        // priced by the discipline, not counted as a software copy.
+        let len = len.min(MAX_FRAME);
+        let mut frame = vec![0u8; len];
+        page.read(|b| frame.copy_from_slice(&b[..len]));
+        let frame = PktBuf::from_vec(frame);
+        let q = q.unwrap_or_else(|| crate::rss::rx_queue(&frame, self.len()));
+        let cost = match self.discipline {
             // Page is mapped and sliced; no copy ("received pages are
             // passed directly to the application", §3.4.1).
+            CopyDiscipline::ZeroCopy => Dur::ZERO,
+            CopyDiscipline::UserKernelCopy => env.costs().syscall + env.costs().copy(len),
+        };
+        charge_on(env, q, cost);
+        {
+            let mut st = self.stats.lock();
+            st.rx_frames += 1;
+            st.rx_bytes += len as u64;
         }
-        CopyDiscipline::UserKernelCopy => {
-            let c = env.costs().syscall + env.costs().copy(len);
-            env.consume(c);
-        }
+        let _ = self.to_stack[q].send(frame);
+    }
+
+    /// Prices and counts a `len`-byte frame written into a TX page for
+    /// queue `q`. Serialisation into the I/O page is the sending core's
+    /// work.
+    pub fn sent(&self, env: &mut DomainEnv<'_>, q: usize, len: usize) {
+        let cost = match self.discipline {
+            // The single serialise-into-I/O-page write.
+            CopyDiscipline::ZeroCopy => env.costs().copy(len),
+            CopyDiscipline::UserKernelCopy => {
+                env.costs().syscall + env.costs().copy(len) + env.costs().copy(len)
+            }
+        };
+        charge_on(env, q, cost);
+        let mut st = self.stats.lock();
+        st.tx_frames += 1;
+        st.tx_bytes += len as u64;
+    }
+
+    /// Counts one data-plane doorbell.
+    pub fn rang_doorbell(&self) {
+        self.stats.lock().doorbells += 1;
     }
 }
 
-enum FrontState {
-    /// Advertise rings + domid in xenstore.
-    Init,
-    /// Waiting for the backend to publish an event-channel port.
-    WaitPort,
-    /// Data plane running.
-    Connected,
+/// Charges `cost` on the lane of the vCPU owning queue `q`.
+fn charge_on(env: &mut DomainEnv<'_>, q: usize, cost: Dur) {
+    let entry_lane = env.current_vcpu();
+    env.on_vcpu(q % env.vcpus());
+    env.consume(cost);
+    env.on_vcpu(entry_lane);
+}
+
+/// Frames the stack has sent that wait for a free TX slot, oldest first,
+/// each with the queue it came from. Past its cap the oldest frame is
+/// dropped and counted in [`NetifStats::tx_drops`].
+pub(crate) struct TxBacklog {
+    frames: VecDeque<(usize, PktBuf)>,
+    cap: usize,
+    stats: Arc<Mutex<NetifStats>>,
+}
+
+impl TxBacklog {
+    fn push(&mut self, q: usize, frame: PktBuf) {
+        self.frames.push_back((q, frame));
+        if self.frames.len() > self.cap {
+            self.frames.pop_front();
+            self.stats.lock().tx_drops += 1;
+        }
+    }
+
+    /// Whether a frame that fits one page is waiting; frames that do not
+    /// fit are dropped and counted on the way.
+    pub fn ready(&mut self) -> bool {
+        while let Some((_, frame)) = self.frames.front() {
+            if frame.len() <= MAX_FRAME {
+                return true;
+            }
+            self.frames.pop_front();
+            self.stats.lock().tx_drops += 1;
+        }
+        false
+    }
+
+    /// Takes the oldest frame and its queue.
+    pub fn pop(&mut self) -> Option<(usize, PktBuf)> {
+        self.frames.pop_front()
+    }
 }
 
 /// The netfront device driver; plugs into a
@@ -196,35 +322,27 @@ enum FrontState {
 /// worker — and therefore each vCPU — sees only its own flows. Cross-core
 /// handoff moves `PktBuf` views (refcount bumps), never bytes.
 pub struct Netfront {
-    xs: Xenstore,
-    name: String,
-    mac: [u8; 6],
-    discipline: CopyDiscipline,
-    state: FrontState,
-    registered_watch: bool,
+    link: FrontLink,
+    pub(crate) mac: [u8; 6],
     tx_ring: Option<FrontRing>,
     rx_ring: Option<FrontRing>,
     port: Option<Port>,
-    backend: Option<DomainId>,
     /// Recycled transmit pages: (gref, page).
     tx_free: Vec<(GrantRef, SharedPage)>,
     /// Pages travelling through the backend, keyed by gref.
     tx_inflight: HashMap<u32, (GrantRef, SharedPage)>,
     /// Posted receive buffers, keyed by gref.
     rx_bufs: HashMap<u32, SharedPage>,
-    /// Per-queue TX intake (stack workers -> driver), drained in fixed
-    /// queue order each service pass.
-    from_stack: Vec<Receiver<PktBuf>>,
-    /// Per-queue RX fan-out (driver -> stack workers), indexed by
-    /// [`crate::rss::rx_queue`] of the incoming frame.
-    to_stack: Vec<Sender<PktBuf>>,
-    /// Merged TX backlog; each frame remembers its source queue so its
-    /// serialise-into-I/O-page charge lands on the owning vCPU's lane.
-    tx_backlog: VecDeque<(usize, PktBuf)>,
-    stats: Arc<Mutex<NetifStats>>,
+    /// Intakes are drained in fixed queue order each service pass; RX
+    /// frames fan out by [`crate::rss::rx_queue`].
+    stack: StackQueues,
+    /// One backlog merged across queues; each frame remembers its source
+    /// queue so its serialise-into-I/O-page charge lands on the owning
+    /// vCPU's lane.
+    tx_backlog: TxBacklog,
     /// vCPU this device's event channel is steered to
     /// (`EVTCHNOP_bind_vcpu`); the run-loop charges service work there.
-    service_vcpu: usize,
+    pub(crate) service_vcpu: usize,
 }
 
 impl Netfront {
@@ -257,76 +375,36 @@ impl Netfront {
         discipline: CopyDiscipline,
         queues: usize,
     ) -> (Netfront, Vec<NetHandle>) {
-        assert!(queues > 0, "a NIC needs at least one queue");
-        let stats = Arc::new(Mutex::new(NetifStats::default()));
-        let mut from_stack = Vec::with_capacity(queues);
-        let mut to_stack = Vec::with_capacity(queues);
-        let mut handles = Vec::with_capacity(queues);
-        for _ in 0..queues {
-            let (tx_in, tx_out) = channel::channel();
-            let (rx_in, rx_out) = channel::channel();
-            from_stack.push(tx_out);
-            to_stack.push(rx_in);
-            handles.push(NetHandle {
-                mac,
-                tx: tx_in,
-                rx: rx_out,
-                stats: Arc::clone(&stats),
-            });
-        }
+        let (stack, handles) = StackQueues::new(mac, discipline, queues);
+        // The cap scales with the queue count: each stack worker gets its
+        // own burst quota, so eight cores flushing at once don't tail-drop
+        // each other's segments.
+        let tx_backlog = stack.backlog(TX_BACKLOG_CAP * queues);
         let front = Netfront {
-            xs,
-            name: name.into(),
+            link: FrontLink::new(xs, "net", name.into()),
             mac,
-            discipline,
-            state: FrontState::Init,
-            registered_watch: false,
             tx_ring: None,
             rx_ring: None,
             port: None,
-            backend: None,
             tx_free: Vec::new(),
             tx_inflight: HashMap::new(),
             rx_bufs: HashMap::new(),
-            from_stack,
-            to_stack,
-            tx_backlog: VecDeque::new(),
-            stats,
+            stack,
+            tx_backlog,
             service_vcpu: 0,
         };
         (front, handles)
     }
+}
 
-    /// Steers this device's event channel — and with it the run-loop's
-    /// service charging — to vCPU `v` once connected.
-    pub fn set_service_vcpu(&mut self, v: usize) {
-        self.service_vcpu = v;
+impl Frontend for Netfront {
+    fn link(&mut self) -> &mut FrontLink {
+        &mut self.link
     }
 
-    /// The interface MAC address.
-    pub fn mac(&self) -> [u8; 6] {
-        self.mac
-    }
-
-    fn base(&self) -> String {
-        format!("device/net/{}", self.name)
-    }
-
-    fn step_init(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        if !self.registered_watch {
-            self.xs.register_watcher(env.domid());
-            self.registered_watch = true;
-        }
-        let Some(backend) = self
-            .xs
-            .read(env, "backend-domid")
-            .and_then(|s| s.parse().ok())
-            .map(DomainId)
-        else {
-            return false; // driver domain not up yet; its write will wake us
-        };
-        self.backend = Some(backend);
-        let base = self.base();
+    fn advertise(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) {
+        let base = self.link.base();
+        let xs = &self.link.xs;
         let tx_page = SharedPage::new();
         let rx_page = SharedPage::new();
         let tx_gref = env.grant(backend, tx_page.clone(), true);
@@ -334,32 +412,20 @@ impl Netfront {
         self.tx_ring = Some(FrontRing::attach(tx_page));
         self.rx_ring = Some(FrontRing::attach(rx_page));
         let domid = env.domid().0.to_string();
-        self.xs.write(env, &format!("{base}/frontend-domid"), &domid);
-        self.xs
-            .write(env, &format!("{base}/tx-ring"), &tx_gref.0.to_string());
-        self.xs
-            .write(env, &format!("{base}/rx-ring"), &rx_gref.0.to_string());
-        self.xs.write(
+        xs.write(env, &format!("{base}/frontend-domid"), &domid);
+        xs.write(env, &format!("{base}/tx-ring"), &tx_gref.0.to_string());
+        xs.write(env, &format!("{base}/rx-ring"), &rx_gref.0.to_string());
+        xs.write(
             env,
             &format!("{base}/mac"),
             &self.mac.map(|b| format!("{b:02x}")).join(":"),
         );
-        self.xs.write(env, &format!("{base}/state"), "initialising");
-        self.state = FrontState::WaitPort;
-        true
     }
 
-    fn step_wait_port(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let base = self.base();
-        let Some(port) = self
-            .xs
-            .read(env, &format!("{base}/event-port"))
-            .and_then(|s| s.parse().ok())
-            .map(Port)
-        else {
+    fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
+        let Some(port) = self.link.read_port(env, "event-port") else {
             return false;
         };
-        let backend = self.backend.expect("set in Init");
         let local = env.evtchn_bind(backend, port).expect("backend allocated");
         self.port = Some(local);
 
@@ -380,14 +446,12 @@ impl Netfront {
         if self.service_vcpu != 0 {
             let _ = env.evtchn_set_vcpu(local, self.service_vcpu);
         }
-        self.xs.write(env, &format!("{base}/state"), "connected");
+        self.link.write_state(env, "connected");
         env.evtchn_notify(local).expect("bound");
-        env.observe(&format!("net-connected:{}", self.name));
-        self.state = FrontState::Connected;
         true
     }
 
-    fn step_connected(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
+    fn serve(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
         let port = self.port.expect("connected");
         let _ = env.evtchn_consume(port);
@@ -404,13 +468,7 @@ impl Netfront {
             }
         }
 
-        // Deliver received frames and repost buffers. The fan-out moves
-        // only an owned `PktBuf` (an `Arc` refcount once the stack slices
-        // it), never bytes, and each frame's RX cost is charged on the
-        // lane of the vCPU owning its queue — the per-core ingress-ring
-        // model: classification on the service lane, payload work on the
-        // owning core.
-        let entry_lane = env.current_vcpu();
+        // Deliver received frames and repost buffers.
         let mut notify_rx = false;
         if let Some(rx_ring) = self.rx_ring.as_mut() {
             while let Some(rsp) = rx_ring.take_response() {
@@ -418,22 +476,7 @@ impl Netfront {
                     continue;
                 };
                 if let Some(page) = self.rx_bufs.get(&gref) {
-                    // Reading the granted page models the DMA transfer, so
-                    // it is priced by charge_rx, not counted as a software
-                    // copy; from here the frame travels by reference.
-                    let mut frame = vec![0u8; len as usize];
-                    page.read(|b| frame.copy_from_slice(&b[..len as usize]));
-                    let frame = PktBuf::from_vec(frame);
-                    let q = crate::rss::rx_queue(&frame, self.to_stack.len());
-                    env.on_vcpu(q % env.vcpus());
-                    charge_rx(self.discipline, env, len as usize);
-                    env.on_vcpu(entry_lane);
-                    {
-                        let mut st = self.stats.lock();
-                        st.rx_frames += 1;
-                        st.rx_bytes += len as u64;
-                    }
-                    let _ = self.to_stack[q].send(frame);
+                    self.stack.deliver(env, page, len as usize, None);
                     // Repost the same buffer.
                     if let Ok(n) = rx_ring.push_request(&gref_only(gref)) {
                         notify_rx |= n;
@@ -445,26 +488,11 @@ impl Netfront {
 
         // Transmit queued frames, draining the per-queue intakes in
         // fixed order (queue id, then FIFO) for a deterministic merge.
-        // The cap scales with the queue count: each stack worker gets its
-        // own burst quota, so eight cores flushing at once don't tail-drop
-        // each other's segments.
-        let backlog_cap = TX_BACKLOG_CAP * self.from_stack.len();
-        for (q, intake) in self.from_stack.iter_mut().enumerate() {
-            while let Some(frame) = intake.try_recv() {
-                self.tx_backlog.push_back((q, frame));
-                if self.tx_backlog.len() > backlog_cap {
-                    self.tx_backlog.pop_front();
-                    self.stats.lock().tx_drops += 1;
-                }
-            }
+        for q in 0..self.stack.len() {
+            self.stack.take_sent(q, &mut self.tx_backlog);
         }
         let mut notify_tx = false;
-        while let Some((_, frame)) = self.tx_backlog.front() {
-            if frame.len() > MAX_FRAME {
-                self.tx_backlog.pop_front();
-                self.stats.lock().tx_drops += 1;
-                continue;
-            }
+        while self.tx_backlog.ready() {
             let Some((gref, page)) = self.tx_free.pop() else {
                 break;
             };
@@ -473,32 +501,18 @@ impl Netfront {
                 self.tx_free.push((gref, page));
                 break;
             }
-            let (src_q, frame) = self.tx_backlog.pop_front().expect("peeked");
+            let (src_q, frame) = self.tx_backlog.pop().expect("ready");
             page.write(|b| b[..frame.len()].copy_from_slice(&frame));
-            // Serialisation into the I/O page is the sending core's work.
-            env.on_vcpu(src_q % env.vcpus());
-            charge_tx(self.discipline, env, frame.len());
-            env.on_vcpu(entry_lane);
-            match tx_ring.push_request(&tx_req(gref.0, frame.len() as u16)) {
-                Ok(n) => {
-                    notify_tx |= n;
-                    {
-                        let mut st = self.stats.lock();
-                        st.tx_frames += 1;
-                        st.tx_bytes += frame.len() as u64;
-                    }
-                    self.tx_inflight.insert(gref.0, (gref, page));
-                    progressed = true;
-                }
-                Err(_) => {
-                    self.tx_free.push((gref, page));
-                    break;
-                }
-            }
+            notify_tx |= tx_ring
+                .push_request(&tx_req(gref.0, frame.len() as u16))
+                .expect("free_slots checked");
+            self.stack.sent(env, src_q, frame.len());
+            self.tx_inflight.insert(gref.0, (gref, page));
+            progressed = true;
         }
         if notify_tx || notify_rx {
             let _ = env.evtchn_notify(port);
-            self.stats.lock().doorbells += 1;
+            self.stack.rang_doorbell();
         }
         // Arm notifications before blocking; if responses raced in, go
         // around again instead of sleeping (the §3.5.1 footnote protocol).
@@ -513,20 +527,8 @@ impl Netfront {
 }
 
 impl DeviceService for Netfront {
-    fn service(&mut self, env: &mut DomainEnv<'_>, rt: &Runtime) -> bool {
-        match self.state {
-            FrontState::Init => self.step_init(env),
-            FrontState::WaitPort => {
-                let p = self.step_wait_port(env);
-                if matches!(self.state, FrontState::Connected) {
-                    // Run the data plane immediately after connecting.
-                    self.step_connected(env, rt) || p
-                } else {
-                    p
-                }
-            }
-            FrontState::Connected => self.step_connected(env, rt),
-        }
+    fn service(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
+        self.service_pass(env)
     }
 
     fn watch_ports(&self) -> Vec<Port> {

@@ -15,20 +15,17 @@
 //! against the same [`SimulatedDisk`](crate::blk::SimulatedDisk), fault
 //! plan and timing model.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId};
-use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
+use super::advertise_queue;
 use super::virtqueue::{buf_addr, ChainBuf, QueuePages, SplitQueue};
-use crate::blk::{
-    wire as blkwire, BlkCompletion, BlkHandle, BlkOp, BlkRequest, BLK_BUFFERS,
-    MAX_SECTORS_PER_REQ, SECTOR_SIZE,
-};
-use crate::xenstore::Xenstore;
+use crate::blk::{wire as blkwire, BlkHandle, BlkQueue, Submitted, BLK_BUFFERS, SECTOR_SIZE};
+use crate::xenstore::{FrontLink, Frontend, Xenstore};
 
 /// Offset of the one-byte status field within the header page.
 pub const STATUS_OFF: usize = 2048;
@@ -36,12 +33,6 @@ pub const STATUS_OFF: usize = 2048;
 pub const STATUS_OK: u8 = 0;
 /// Request status: device rejected or failed the request.
 pub const STATUS_IOERR: u8 = 1;
-
-enum VblkState {
-    Init,
-    WaitPort,
-    Connected,
-}
 
 /// One request slot: a header/status page plus a data page.
 struct Slot {
@@ -52,29 +43,21 @@ struct Slot {
 }
 
 struct Inflight {
-    id: u64,
-    op: BlkOp,
+    req: Submitted,
     slot: Slot,
-    read_bytes: usize,
 }
 
 /// The virtio block frontend; a [`DeviceService`] created through
 /// [`Backend::blk`](crate::driver::Backend::blk).
 pub struct VirtioBlk {
-    xs: Xenstore,
-    name: String,
+    link: FrontLink,
     disk_sectors: u64,
-    state: VblkState,
-    registered_watch: bool,
-    backend: Option<DomainId>,
     staged: Option<QueuePages>,
     queue: Option<SplitQueue>,
     port: Option<Port>,
     free_slots: Vec<Slot>,
     inflight: HashMap<u16, Inflight>,
-    from_stack: Receiver<BlkRequest>,
-    to_stack: Sender<BlkCompletion>,
-    backlog: VecDeque<BlkRequest>,
+    stack: BlkQueue,
 }
 
 impl VirtioBlk {
@@ -85,80 +68,43 @@ impl VirtioBlk {
         name: impl Into<String>,
         disk_sectors: u64,
     ) -> (VirtioBlk, BlkHandle) {
-        let (submit_tx, submit_rx) = channel::channel();
-        let (comp_tx, comp_rx) = channel::channel();
+        let (stack, handle) = BlkQueue::new(disk_sectors);
         let front = VirtioBlk {
-            xs,
-            name: name.into(),
+            link: FrontLink::new(xs, "vblk", name.into()),
             disk_sectors,
-            state: VblkState::Init,
-            registered_watch: false,
-            backend: None,
             staged: None,
             queue: None,
             port: None,
             free_slots: Vec::new(),
             inflight: HashMap::new(),
-            from_stack: submit_rx,
-            to_stack: comp_tx,
-            backlog: VecDeque::new(),
-        };
-        let handle = BlkHandle {
-            submit: submit_tx,
-            complete: comp_rx,
-            sectors: disk_sectors,
+            stack,
         };
         (front, handle)
     }
+}
 
-    fn base(&self) -> String {
-        format!("device/vblk/{}", self.name)
+impl Frontend for VirtioBlk {
+    fn link(&mut self) -> &mut FrontLink {
+        &mut self.link
     }
 
-    fn step_init(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        if !self.registered_watch {
-            self.xs.register_watcher(env.domid());
-            self.registered_watch = true;
-        }
-        let Some(backend) = self
-            .xs
-            .read(env, "backend-domid")
-            .and_then(|s| s.parse().ok())
-            .map(DomainId)
-        else {
-            return false;
-        };
-        self.backend = Some(backend);
-        let base = self.base();
-        let pages = QueuePages::new();
-        let desc = env.grant(backend, pages.desc.clone(), false);
-        let avail = env.grant(backend, pages.avail.clone(), false);
-        let used = env.grant(backend, pages.used.clone(), true);
-        for (area, gref) in [("desc", desc), ("avail", avail), ("used", used)] {
-            self.xs
-                .write(env, &format!("{base}/{area}"), &gref.0.to_string());
-        }
-        self.staged = Some(pages);
+    fn advertise(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) {
+        let base = self.link.base();
+        let xs = &self.link.xs;
+        self.staged = Some(advertise_queue(env, &self.link, backend, ""));
         let domid = env.domid().0.to_string();
-        self.xs.write(env, &format!("{base}/frontend-domid"), &domid);
-        self.xs
-            .write(env, &format!("{base}/sectors"), &self.disk_sectors.to_string());
-        self.xs.write(env, &format!("{base}/state"), "initialising");
-        self.state = VblkState::WaitPort;
-        true
+        xs.write(env, &format!("{base}/frontend-domid"), &domid);
+        xs.write(
+            env,
+            &format!("{base}/sectors"),
+            &self.disk_sectors.to_string(),
+        );
     }
 
-    fn step_wait_port(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let base = self.base();
-        let Some(port) = self
-            .xs
-            .read(env, &format!("{base}/event-port"))
-            .and_then(|s| s.parse().ok())
-            .map(Port)
-        else {
+    fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
+        let Some(port) = self.link.read_port(env, "event-port") else {
             return false;
         };
-        let backend = self.backend.expect("set in Init");
         let local = env.evtchn_bind(backend, port).expect("backend allocated");
         self.port = Some(local);
         self.queue = Some(SplitQueue::new(self.staged.take().expect("staged in Init")));
@@ -176,13 +122,11 @@ impl VirtioBlk {
                 data_page,
             });
         }
-        self.xs.write(env, &format!("{base}/state"), "connected");
-        env.observe(&format!("vblk-connected:{}", self.name));
-        self.state = VblkState::Connected;
+        self.link.write_state(env, "connected");
         true
     }
 
-    fn step_connected(&mut self, env: &mut DomainEnv<'_>) -> bool {
+    fn serve(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
         let port = self.port.expect("connected");
         let _ = env.evtchn_consume(port);
@@ -195,61 +139,24 @@ impl VirtioBlk {
                 continue;
             };
             let status = inflight.slot.hdr_page.read(|b| b[STATUS_OFF]);
-            let ok = status == STATUS_OK;
-            let data = if ok && inflight.op == BlkOp::Read {
-                let mut buf = vec![0u8; inflight.read_bytes];
-                inflight
-                    .slot
-                    .data_page
-                    .read(|b| buf.copy_from_slice(&b[..inflight.read_bytes]));
-                Some(buf)
-            } else {
-                None
-            };
-            let _ = self.to_stack.send(BlkCompletion {
-                id: inflight.id,
-                ok,
-                data,
-            });
+            self.stack
+                .complete(&inflight.req, status == STATUS_OK, &inflight.slot.data_page);
             self.free_slots.push(inflight.slot);
             progressed = true;
         }
 
         // Submissions: three-descriptor chains, one doorbell per pass.
-        while let Some(req) = self.from_stack.try_recv() {
-            self.backlog.push_back(req);
-        }
         let mut notify = false;
-        while let Some(req) = self.backlog.front() {
-            if req.count > MAX_SECTORS_PER_REQ || req.count == 0 {
-                let req = self.backlog.pop_front().expect("peeked");
-                let _ = self.to_stack.send(BlkCompletion {
-                    id: req.id,
-                    ok: false,
-                    data: None,
-                });
-                continue;
-            }
+        while self.stack.ready() {
             if queue.free_descriptors() < 3 {
                 break;
             }
             let Some(slot) = self.free_slots.pop() else {
                 break;
             };
-            let req = self.backlog.pop_front().expect("peeked");
+            let (req, op) = self.stack.take(env, &slot.data_page);
             let bytes = req.count as usize * SECTOR_SIZE;
-            let (op, is_read) = match req.op {
-                BlkOp::Read => (blkwire::OP_READ, true),
-                BlkOp::Write => {
-                    let data = req.data.as_deref().unwrap_or(&[]);
-                    let n = data.len().min(bytes);
-                    slot.data_page.write(|b| b[..n].copy_from_slice(&data[..n]));
-                    // Direct write: one copy into the I/O page.
-                    let c = env.costs().copy(n);
-                    env.consume(c);
-                    (blkwire::OP_WRITE, false)
-                }
-            };
+            let is_read = op == blkwire::OP_READ;
             let header = blkwire::req(op, req.id, req.sector, req.count, slot.data_gref.0);
             slot.hdr_page.write(|b| {
                 b[..header.len()].copy_from_slice(&header);
@@ -275,15 +182,8 @@ impl VirtioBlk {
                 ])
                 .expect("free_descriptors checked");
             notify |= n;
-            self.inflight.insert(
-                head,
-                Inflight {
-                    id: req.id,
-                    op: req.op,
-                    slot,
-                    read_bytes: bytes,
-                },
-            );
+            let req = Submitted::from(&req);
+            self.inflight.insert(head, Inflight { req, slot });
             progressed = true;
         }
         if notify {
@@ -296,18 +196,7 @@ impl VirtioBlk {
 
 impl DeviceService for VirtioBlk {
     fn service(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
-        match self.state {
-            VblkState::Init => self.step_init(env),
-            VblkState::WaitPort => {
-                let p = self.step_wait_port(env);
-                if matches!(self.state, VblkState::Connected) {
-                    self.step_connected(env) || p
-                } else {
-                    p
-                }
-            }
-            VblkState::Connected => self.step_connected(env),
-        }
+        self.service_pass(env)
     }
 
     fn watch_ports(&self) -> Vec<Port> {

@@ -27,6 +27,32 @@ pub mod blk;
 pub mod net;
 pub mod virtqueue;
 
+use mirage_hypervisor::{DomainEnv, DomainId};
+
+use crate::xenstore::FrontLink;
+
 pub use blk::VirtioBlk;
 pub use net::VirtioNet;
 pub use virtqueue::{DeviceQueue, QueuePages, SplitQueue, QUEUE_SIZE};
+
+/// Allocates one virtqueue's three areas, grants them to `backend` and
+/// advertises their references under `{base}/{prefix}{desc,avail,used}`.
+/// Only the used area is device-writable; descriptors and the avail ring
+/// stay driver-owned.
+fn advertise_queue(
+    env: &mut DomainEnv<'_>,
+    link: &FrontLink,
+    backend: DomainId,
+    prefix: &str,
+) -> QueuePages {
+    let pages = QueuePages::new();
+    let desc = env.grant(backend, pages.desc.clone(), false);
+    let avail = env.grant(backend, pages.avail.clone(), false);
+    let used = env.grant(backend, pages.used.clone(), true);
+    let base = link.base();
+    for (area, gref) in [("desc", desc), ("avail", avail), ("used", used)] {
+        link.xs
+            .write(env, &format!("{base}/{prefix}{area}"), &gref.0.to_string());
+    }
+    pages
+}

@@ -17,35 +17,20 @@
 //! [`NetifStats::doorbells`] counter is the observable the suppression
 //! regression test pins: O(bursts), not O(frames).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use mirage_testkit::sync::Mutex;
-
-use mirage_cstruct::PktBuf;
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId};
-use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
+use super::advertise_queue;
 use super::virtqueue::{buf_addr, ChainBuf, QueuePages, SplitQueue};
-use crate::netfront::{CopyDiscipline, NetHandle, NetifStats, MAX_FRAME, TX_BACKLOG_CAP};
-use crate::xenstore::Xenstore;
-
-/// Receive buffer chains posted per RX virtqueue.
-pub const VNET_RX_BUFFERS: usize = 24;
-/// Transmit pages pooled per TX virtqueue.
-pub const VNET_TX_BUFFERS: usize = 24;
-
-enum VnetState {
-    /// Allocate queue areas, grant them, advertise in xenstore.
-    Init,
-    /// Waiting for the backend to publish per-queue event ports.
-    WaitPort,
-    /// Data plane running.
-    Connected,
-}
+use crate::netfront::{
+    CopyDiscipline, NetHandle, StackQueues, TxBacklog, MAX_FRAME, RX_BUFFERS, TX_BACKLOG_CAP,
+    TX_BUFFERS,
+};
+use crate::xenstore::{FrontLink, Frontend, Xenstore};
 
 /// One TX/RX virtqueue pair with its event channel.
 struct QueuePair {
@@ -59,29 +44,22 @@ struct QueuePair {
     /// Posted RX buffers, keyed by chain head.
     rx_bufs: HashMap<u16, (GrantRef, SharedPage)>,
     /// Frames awaiting a free TX descriptor, FIFO per queue.
-    backlog: VecDeque<PktBuf>,
+    backlog: TxBacklog,
 }
 
 /// The virtio network frontend; a [`DeviceService`] like
 /// [`Netfront`](crate::netfront::Netfront), created through
 /// [`Backend::net`](crate::driver::Backend::net) rather than directly.
 pub struct VirtioNet {
-    xs: Xenstore,
-    name: String,
-    mac: [u8; 6],
-    discipline: CopyDiscipline,
-    state: VnetState,
-    registered_watch: bool,
-    backend: Option<DomainId>,
+    link: FrontLink,
+    pub(crate) mac: [u8; 6],
     /// Queue areas allocated in Init, consumed when the pairs connect.
     staged: Vec<(QueuePages, QueuePages)>,
     pairs: Vec<QueuePair>,
-    from_stack: Vec<Receiver<PktBuf>>,
-    to_stack: Vec<Sender<PktBuf>>,
-    stats: Arc<Mutex<NetifStats>>,
+    stack: StackQueues,
     /// Base vCPU for per-queue channel affinity: queue q is steered to
     /// `(service_vcpu + q) % vcpus`.
-    service_vcpu: usize,
+    pub(crate) service_vcpu: usize,
 }
 
 impl VirtioNet {
@@ -112,128 +90,64 @@ impl VirtioNet {
         discipline: CopyDiscipline,
         queues: usize,
     ) -> (VirtioNet, Vec<NetHandle>) {
-        assert!(queues > 0, "a NIC needs at least one queue");
-        let stats = Arc::new(Mutex::new(NetifStats::default()));
-        let mut from_stack = Vec::with_capacity(queues);
-        let mut to_stack = Vec::with_capacity(queues);
-        let mut handles = Vec::with_capacity(queues);
-        for _ in 0..queues {
-            let (tx_in, tx_out) = channel::channel();
-            let (rx_in, rx_out) = channel::channel();
-            from_stack.push(tx_out);
-            to_stack.push(rx_in);
-            handles.push(NetHandle::new(mac, tx_in, rx_out, Arc::clone(&stats)));
-        }
+        let (stack, handles) = StackQueues::new(mac, discipline, queues);
         let front = VirtioNet {
-            xs,
-            name: name.into(),
+            link: FrontLink::new(xs, "vnet", name.into()),
             mac,
-            discipline,
-            state: VnetState::Init,
-            registered_watch: false,
-            backend: None,
             staged: Vec::new(),
             pairs: Vec::new(),
-            from_stack,
-            to_stack,
-            stats,
+            stack,
             service_vcpu: 0,
         };
         (front, handles)
     }
 
-    /// Steers queue 0's event channel (and the affinity base for the other
-    /// queues) to vCPU `v` once connected.
-    pub fn set_service_vcpu(&mut self, v: usize) {
-        self.service_vcpu = v;
+    /// Publishes one empty device-writable page on an RX queue, returning
+    /// `(head, notify)`. The queue is sized for the buffer pool, so a
+    /// repost after a reclaim always has room.
+    fn post_rx(rx: &mut SplitQueue, gref: GrantRef) -> (u16, bool) {
+        rx.add_chain(&[ChainBuf {
+            addr: buf_addr(gref.0, 0),
+            len: MAX_FRAME as u32,
+            device_writes: true,
+        }])
+        .expect("RX queue sized for the buffer pool")
+    }
+}
+
+impl Frontend for VirtioNet {
+    fn link(&mut self) -> &mut FrontLink {
+        &mut self.link
     }
 
-    /// The interface MAC address.
-    pub fn mac(&self) -> [u8; 6] {
-        self.mac
-    }
-
-    fn base(&self) -> String {
-        format!("device/vnet/{}", self.name)
-    }
-
-    /// Grants a queue's three areas to `backend` and writes their refs
-    /// under `{base}/q{q}/{dir}-{desc,avail,used}`. Only the used area is
-    /// writable by the device; descriptors and the avail ring stay
-    /// driver-owned.
-    fn advertise_queue(
-        &self,
-        env: &mut DomainEnv<'_>,
-        backend: DomainId,
-        pages: &QueuePages,
-        q: usize,
-        dir: &str,
-    ) {
-        let base = self.base();
-        let desc = env.grant(backend, pages.desc.clone(), false);
-        let avail = env.grant(backend, pages.avail.clone(), false);
-        let used = env.grant(backend, pages.used.clone(), true);
-        for (area, gref) in [("desc", desc), ("avail", avail), ("used", used)] {
-            self.xs.write(
-                env,
-                &format!("{base}/q{q}/{dir}-{area}"),
-                &gref.0.to_string(),
-            );
-        }
-    }
-
-    fn step_init(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        if !self.registered_watch {
-            self.xs.register_watcher(env.domid());
-            self.registered_watch = true;
-        }
-        let Some(backend) = self
-            .xs
-            .read(env, "backend-domid")
-            .and_then(|s| s.parse().ok())
-            .map(DomainId)
-        else {
-            return false;
-        };
-        self.backend = Some(backend);
-        let base = self.base();
-        let queues = self.from_stack.len();
+    fn advertise(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) {
+        let base = self.link.base();
+        let queues = self.stack.len();
         for q in 0..queues {
-            let tx = QueuePages::new();
-            let rx = QueuePages::new();
-            self.advertise_queue(env, backend, &tx, q, "tx");
-            self.advertise_queue(env, backend, &rx, q, "rx");
+            let tx = advertise_queue(env, &self.link, backend, &format!("q{q}/tx-"));
+            let rx = advertise_queue(env, &self.link, backend, &format!("q{q}/rx-"));
             self.staged.push((tx, rx));
         }
+        let xs = &self.link.xs;
         let domid = env.domid().0.to_string();
-        self.xs.write(env, &format!("{base}/frontend-domid"), &domid);
-        self.xs.write(env, &format!("{base}/queues"), &queues.to_string());
-        self.xs.write(
+        xs.write(env, &format!("{base}/frontend-domid"), &domid);
+        xs.write(env, &format!("{base}/queues"), &queues.to_string());
+        xs.write(
             env,
             &format!("{base}/mac"),
             &self.mac.map(|b| format!("{b:02x}")).join(":"),
         );
-        self.xs.write(env, &format!("{base}/state"), "initialising");
-        self.state = VnetState::WaitPort;
-        true
     }
 
-    fn step_wait_port(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let base = self.base();
-        let queues = self.from_stack.len();
+    fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
+        let queues = self.stack.len();
         let mut ports = Vec::with_capacity(queues);
         for q in 0..queues {
-            let Some(port) = self
-                .xs
-                .read(env, &format!("{base}/q{q}/event-port"))
-                .and_then(|s| s.parse().ok())
-                .map(Port)
-            else {
+            let Some(port) = self.link.read_port(env, &format!("q{q}/event-port")) else {
                 return false; // backend publishes all ports in one pass
             };
             ports.push(port);
         }
-        let backend = self.backend.expect("set in Init");
         for (q, ((tx_pages, rx_pages), remote)) in
             self.staged.drain(..).zip(ports).enumerate()
         {
@@ -249,10 +163,10 @@ impl VirtioNet {
                 tx_free: Vec::new(),
                 tx_inflight: HashMap::new(),
                 rx_bufs: HashMap::new(),
-                backlog: VecDeque::new(),
+                backlog: self.stack.backlog(TX_BACKLOG_CAP),
             };
             // Post device-writable receive buffers.
-            for _ in 0..VNET_RX_BUFFERS {
+            for _ in 0..RX_BUFFERS {
                 let page = SharedPage::new();
                 let gref = env.grant(backend, page.clone(), true);
                 let (head, _) = Self::post_rx(&mut pair.rx, gref);
@@ -260,7 +174,7 @@ impl VirtioNet {
             }
             // Pre-grant the transmit pool (read-only: the device only
             // reads TX payloads).
-            for _ in 0..VNET_TX_BUFFERS {
+            for _ in 0..TX_BUFFERS {
                 let page = SharedPage::new();
                 let gref = env.grant(backend, page.clone(), false);
                 pair.tx_free.push((gref, page));
@@ -268,42 +182,18 @@ impl VirtioNet {
             env.evtchn_notify(local).expect("bound");
             self.pairs.push(pair);
         }
-        self.xs.write(env, &format!("{base}/state"), "connected");
-        env.observe(&format!("vnet-connected:{}", self.name));
-        self.state = VnetState::Connected;
+        self.link.write_state(env, "connected");
         true
     }
 
-    /// Publishes one empty device-writable page on an RX queue, returning
-    /// `(head, notify)`. The queue is sized for the buffer pool, so a
-    /// repost after a reclaim always has room.
-    fn post_rx(rx: &mut SplitQueue, gref: GrantRef) -> (u16, bool) {
-        rx.add_chain(&[ChainBuf {
-            addr: buf_addr(gref.0, 0),
-            len: MAX_FRAME as u32,
-            device_writes: true,
-        }])
-        .expect("RX queue sized for the buffer pool")
-    }
-
-    fn step_connected(&mut self, env: &mut DomainEnv<'_>) -> bool {
+    fn serve(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
-        let entry_lane = env.current_vcpu();
-        let queues = self.pairs.len();
         // Drain the per-queue intakes first so each queue's burst is
         // published in one pass and rings at most one doorbell.
-        for (q, intake) in self.from_stack.iter_mut().enumerate() {
-            let pair = &mut self.pairs[q];
-            while let Some(frame) = intake.try_recv() {
-                pair.backlog.push_back(frame);
-                if pair.backlog.len() > TX_BACKLOG_CAP {
-                    pair.backlog.pop_front();
-                    self.stats.lock().tx_drops += 1;
-                }
-            }
+        for (q, pair) in self.pairs.iter_mut().enumerate() {
+            self.stack.take_sent(q, &mut pair.backlog);
         }
-        for q in 0..queues {
-            let pair = &mut self.pairs[q];
+        for (q, pair) in self.pairs.iter_mut().enumerate() {
             let _ = env.evtchn_consume(pair.port);
             let mut notify = false;
 
@@ -316,25 +206,12 @@ impl VirtioNet {
             }
 
             // Deliver received frames and repost their buffers. The used
-            // `len` is the frame length the device wrote; payload cost is
-            // charged on the queue's lane, the per-core ingress model.
+            // `len` is the frame length the device wrote.
             while let Some((head, len)) = pair.rx.take_used() {
                 let Some((gref, page)) = pair.rx_bufs.remove(&head) else {
                     continue;
                 };
-                let len = (len as usize).min(MAX_FRAME);
-                let mut frame = vec![0u8; len];
-                page.read(|b| frame.copy_from_slice(&b[..len]));
-                let frame = PktBuf::from_vec(frame);
-                env.on_vcpu(q % env.vcpus());
-                crate::netfront::charge_rx(self.discipline, env, len);
-                env.on_vcpu(entry_lane);
-                {
-                    let mut st = self.stats.lock();
-                    st.rx_frames += 1;
-                    st.rx_bytes += len as u64;
-                }
-                let _ = self.to_stack[q].send(frame);
+                self.stack.deliver(env, &page, len as usize, Some(q));
                 let (new_head, n) = Self::post_rx(&mut pair.rx, gref);
                 notify |= n;
                 pair.rx_bufs.insert(new_head, (gref, page));
@@ -342,12 +219,7 @@ impl VirtioNet {
             }
 
             // Publish queued frames on the TX virtqueue.
-            while let Some(frame) = pair.backlog.front() {
-                if frame.len() > MAX_FRAME {
-                    pair.backlog.pop_front();
-                    self.stats.lock().tx_drops += 1;
-                    continue;
-                }
+            while pair.backlog.ready() {
                 let Some((gref, page)) = pair.tx_free.pop() else {
                     break;
                 };
@@ -355,11 +227,9 @@ impl VirtioNet {
                     pair.tx_free.push((gref, page));
                     break;
                 }
-                let frame = pair.backlog.pop_front().expect("peeked");
+                let (_, frame) = pair.backlog.pop().expect("ready");
                 page.write(|b| b[..frame.len()].copy_from_slice(&frame));
-                env.on_vcpu(q % env.vcpus());
-                crate::netfront::charge_tx(self.discipline, env, frame.len());
-                env.on_vcpu(entry_lane);
+                self.stack.sent(env, q, frame.len());
                 let (head, n) = pair
                     .tx
                     .add_chain(&[ChainBuf {
@@ -370,11 +240,6 @@ impl VirtioNet {
                     .expect("free_descriptors checked");
                 notify |= n;
                 pair.tx_inflight.insert(head, (gref, page));
-                {
-                    let mut st = self.stats.lock();
-                    st.tx_frames += 1;
-                    st.tx_bytes += frame.len() as u64;
-                }
                 progressed = true;
             }
 
@@ -382,7 +247,7 @@ impl VirtioNet {
             // crossed the device's avail_event mark.
             if notify {
                 let _ = env.evtchn_notify(pair.port);
-                self.stats.lock().doorbells += 1;
+                self.stack.rang_doorbell();
             }
             // Arm used-ring interrupts before blocking; a race means
             // another pass.
@@ -395,18 +260,7 @@ impl VirtioNet {
 
 impl DeviceService for VirtioNet {
     fn service(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
-        match self.state {
-            VnetState::Init => self.step_init(env),
-            VnetState::WaitPort => {
-                let p = self.step_wait_port(env);
-                if matches!(self.state, VnetState::Connected) {
-                    self.step_connected(env) || p
-                } else {
-                    p
-                }
-            }
-            VnetState::Connected => self.step_connected(env),
-        }
+        self.service_pass(env)
     }
 
     fn watch_ports(&self) -> Vec<Port> {

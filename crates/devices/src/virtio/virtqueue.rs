@@ -399,11 +399,6 @@ impl SplitQueue {
         get_u16(&self.pages.used, 2) != self.last_used
     }
 
-    /// Used entries waiting to be consumed.
-    pub fn pending_used(&self) -> u16 {
-        get_u16(&self.pages.used, 2).wrapping_sub(self.last_used)
-    }
-
     /// Walks the free list (bounded), for invariant checks in tests: the
     /// returned ids must be unique and `num_free` long, and disjoint from
     /// every in-flight chain.
@@ -512,7 +507,7 @@ impl DeviceQueue {
     fn walk_chain(&mut self, head: u16) -> Option<Vec<(u64, u32, bool)>> {
         let mut bufs = Vec::new();
         let mut idx = head;
-        let mut seen = vec![false; Q];
+        let mut seen = [false; Q];
         loop {
             if seen[idx as usize] {
                 // A descriptor loop: abandon the chain.

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use mirage_testkit::sync::Mutex;
 
+use mirage_hypervisor::event::Port;
 use mirage_hypervisor::{DomainEnv, DomainId};
 
 #[derive(Default)]
@@ -100,6 +101,105 @@ impl Xenstore {
     /// Monotonic write counter (change detection).
     pub fn version(&self) -> u64 {
         self.inner.lock().version
+    }
+}
+
+/// How far a frontend's handshake with the driver domain has got.
+#[derive(Debug, Clone, Copy)]
+enum Handshake {
+    /// Waiting for the driver domain's `backend-domid`, then advertising.
+    Init,
+    /// Advertised; waiting for the backend's event channel(s).
+    WaitPort(DomainId),
+    /// Data plane running.
+    Connected,
+}
+
+/// A frontend's end of the xenstore handshake: its directory
+/// `device/{class}/{name}` and how far the handshake has got.
+pub(crate) struct FrontLink {
+    pub xs: Xenstore,
+    class: &'static str,
+    name: String,
+    state: Handshake,
+}
+
+impl FrontLink {
+    pub fn new(xs: Xenstore, class: &'static str, name: String) -> FrontLink {
+        FrontLink {
+            xs,
+            class,
+            name,
+            state: Handshake::Init,
+        }
+    }
+
+    /// The device's xenstore directory.
+    pub fn base(&self) -> String {
+        format!("device/{}/{}", self.class, self.name)
+    }
+
+    /// Reads the event-channel port the backend published at
+    /// `{base}/{key}`.
+    pub fn read_port(&self, env: &mut DomainEnv<'_>, key: &str) -> Option<Port> {
+        let key = format!("{}/{key}", self.base());
+        self.xs.read(env, &key)?.parse().ok().map(Port)
+    }
+
+    /// Writes the device's connection state.
+    pub fn write_state(&self, env: &mut DomainEnv<'_>, state: &str) {
+        self.xs.write(env, &format!("{}/state", self.base()), state);
+    }
+}
+
+/// A device frontend (paper §3.4): the device-specific steps of the
+/// handshake every frontend runs with the driver domain, and its data
+/// plane. The frontend advertises its rings and domain id and flips to
+/// `initialising`; the backend answers with event-channel port(s); the
+/// frontend binds them and flips to `connected`.
+pub(crate) trait Frontend {
+    fn link(&mut self) -> &mut FrontLink;
+    /// Grants the device's rings to `backend` and advertises them.
+    fn advertise(&mut self, env: &mut DomainEnv<'_>, backend: DomainId);
+    /// Binds the event channel(s) the backend published and writes the
+    /// `connected` state; `false` while any port is still missing.
+    fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool;
+    /// One data-plane pass; `true` if it made progress.
+    fn serve(&mut self, env: &mut DomainEnv<'_>) -> bool;
+
+    /// One service pass: the next handshake step, and the data plane once
+    /// connected (at once, in the pass that connects).
+    fn service_pass(&mut self, env: &mut DomainEnv<'_>) -> bool {
+        match self.link().state {
+            Handshake::Init => {
+                let link = self.link();
+                link.xs.register_watcher(env.domid());
+                let Some(backend) = link
+                    .xs
+                    .read(env, "backend-domid")
+                    .and_then(|s| s.parse().ok())
+                else {
+                    return false; // driver domain not up yet; its write will wake us
+                };
+                let backend = DomainId(backend);
+                self.advertise(env, backend);
+                let link = self.link();
+                link.write_state(env, "initialising");
+                link.state = Handshake::WaitPort(backend);
+                true
+            }
+            Handshake::WaitPort(backend) => {
+                if !self.connect(env, backend) {
+                    return false;
+                }
+                let link = self.link();
+                env.observe(&format!("{}-connected:{}", link.class, link.name));
+                link.state = Handshake::Connected;
+                self.serve(env);
+                true
+            }
+            Handshake::Connected => self.serve(env),
+        }
     }
 }
 

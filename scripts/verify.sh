@@ -122,52 +122,55 @@ if want --bench "$@"; then
 fi
 
 norm() { sed 's/finished in [0-9.]*s//'; }
+quiet() { "$@" 2> /dev/null; }
+
+# Runs a command twice; fails unless both runs print the same stdout.
+same_twice() {
+    local name="$1"
+    shift
+    "$@" > "/tmp/mirage-$name-run1"
+    "$@" > "/tmp/mirage-$name-run2"
+    diff "/tmp/mirage-$name-run1" "/tmp/mirage-$name-run2"
+}
+
+# The output of a test run under seed $1 (remaining args go to
+# `cargo test`), with per-run timings stripped.
+test_output() {
+    local seed="$1"
+    shift
+    MIRAGE_TEST_SEED="$seed" cargo test -q --offline "$@" 2>&1 | norm
+}
+
+# Runs integration test suite $1 under ten fixed seeds, then twice under
+# one seed with diffed output.
+seeded_suite() {
+    local suite="$1"
+    echo "== $suite: suite under ten fixed seeds"
+    for seed in 1 2 3 5 8 13 42 97 1337 4242; do
+        echo "   -- seed $seed"
+        MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test "$suite" > /dev/null
+    done
+    echo "== $suite: two same-seed runs must print identical output"
+    local seed="${MIRAGE_TEST_SEED:-42}"
+    same_twice "$suite" test_output "$seed" --test "$suite"
+    echo "   ok (seed $seed)"
+}
 
 if want --chaos "$@"; then
     mark
-    echo "== chaos: fault-injection suite under ten fixed seeds"
-    for seed in 1 2 3 5 8 13 42 97 1337 4242; do
-        echo "   -- seed $seed"
-        MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test chaos > /dev/null
-    done
-    echo "== chaos: two same-seed runs must print identical output"
-    seed="${MIRAGE_TEST_SEED:-42}"
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test chaos 2>&1 | norm > /tmp/mirage-chaos-run1
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test chaos 2>&1 | norm > /tmp/mirage-chaos-run2
-    diff /tmp/mirage-chaos-run1 /tmp/mirage-chaos-run2
-    echo "   ok (seed $seed)"
+    seeded_suite chaos
     lap chaos
 fi
 
 if want --adversarial "$@"; then
     mark
-    echo "== adversarial: seeded attack suite under ten fixed seeds"
-    for seed in 1 2 3 5 8 13 42 97 1337 4242; do
-        echo "   -- seed $seed"
-        MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test adversarial > /dev/null
-    done
-    echo "== adversarial: two same-seed runs must print identical output"
-    seed="${MIRAGE_TEST_SEED:-42}"
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test adversarial 2>&1 | norm > /tmp/mirage-adversarial-run1
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test adversarial 2>&1 | norm > /tmp/mirage-adversarial-run2
-    diff /tmp/mirage-adversarial-run1 /tmp/mirage-adversarial-run2
-    echo "   ok (seed $seed)"
+    seeded_suite adversarial
     lap adversarial
 fi
 
 if want --conformance "$@"; then
     mark
-    echo "== conformance: cross-backend differential suite under ten fixed seeds"
-    for seed in 1 2 3 5 8 13 42 97 1337 4242; do
-        echo "   -- seed $seed"
-        MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test conformance > /dev/null
-    done
-    echo "== conformance: two same-seed runs must print identical output"
-    seed="${MIRAGE_TEST_SEED:-42}"
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test conformance 2>&1 | norm > /tmp/mirage-conformance-run1
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test conformance 2>&1 | norm > /tmp/mirage-conformance-run2
-    diff /tmp/mirage-conformance-run1 /tmp/mirage-conformance-run2
-    echo "   ok (seed $seed)"
+    seeded_suite conformance
     echo "== conformance: backend parity figures -> BENCH_virtio.json (gated)"
     scripts/bench.sh --virtio
     lap conformance
@@ -184,11 +187,8 @@ if want --cc "$@"; then
     done
     echo "== cc: two same-seed runs must print identical stdout"
     seed="${MIRAGE_CC_SEED:-42}"
-    MIRAGE_CC_SEED="$seed" MIRAGE_CC_BYTES=1048576 \
-        ./target/release/examples/cc_race > /tmp/mirage-cc-run1
-    MIRAGE_CC_SEED="$seed" MIRAGE_CC_BYTES=1048576 \
-        ./target/release/examples/cc_race > /tmp/mirage-cc-run2
-    diff /tmp/mirage-cc-run1 /tmp/mirage-cc-run2
+    same_twice cc env MIRAGE_CC_SEED="$seed" MIRAGE_CC_BYTES=1048576 \
+        ./target/release/examples/cc_race
     echo "   ok (seed $seed, byte-identical)"
     echo "== cc: full-size race -> BENCH_cc.json (gated)"
     scripts/bench.sh --cc
@@ -200,9 +200,7 @@ if want --scale "$@"; then
     echo "== scale: reduced c1m double run must print identical stdout"
     cargo build --release --offline --example c1m
     scale_env=(MIRAGE_C1M_CONNS=100000 MIRAGE_C1M_HOT=512 MIRAGE_C1M_STORM=100)
-    env "${scale_env[@]}" ./target/release/examples/c1m 2> /dev/null > /tmp/mirage-scale-run1
-    env "${scale_env[@]}" ./target/release/examples/c1m 2> /dev/null > /tmp/mirage-scale-run2
-    diff /tmp/mirage-scale-run1 /tmp/mirage-scale-run2
+    same_twice scale quiet env "${scale_env[@]}" ./target/release/examples/c1m
     echo "   ok (100k connections, byte-identical)"
     echo "== scale: idle-poll regression at 100k (release)"
     MIRAGE_SCALE_CONNS=100000 cargo test -q --offline --release --test scale
@@ -216,9 +214,7 @@ if want --smp "$@"; then
     echo "== smp: two same-seed runs must print identical stdout"
     cargo build --release --offline --example smp
     seed="${MIRAGE_TEST_SEED:-42}"
-    MIRAGE_TEST_SEED="$seed" ./target/release/examples/smp 2> /dev/null > /tmp/mirage-smp-run1
-    MIRAGE_TEST_SEED="$seed" ./target/release/examples/smp 2> /dev/null > /tmp/mirage-smp-run2
-    diff /tmp/mirage-smp-run1 /tmp/mirage-smp-run2
+    same_twice smp quiet env MIRAGE_TEST_SEED="$seed" ./target/release/examples/smp
     echo "   ok (seed $seed, byte-identical)"
     echo "== smp: matrix + idle split -> BENCH_smp.json (gated)"
     scripts/bench.sh --smp
@@ -229,9 +225,7 @@ if want --determinism "$@"; then
     mark
     echo "== determinism: two test runs under one seed must be identical"
     seed="${MIRAGE_TEST_SEED:-42}"
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --workspace 2>&1 | norm > /tmp/mirage-verify-run1
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline --workspace 2>&1 | norm > /tmp/mirage-verify-run2
-    diff /tmp/mirage-verify-run1 /tmp/mirage-verify-run2
+    same_twice verify test_output "$seed" --workspace
     echo "   ok (seed $seed)"
     lap determinism
 fi

@@ -1062,7 +1062,7 @@ fn assert_virtqueue_still_sound(drv: &mut SplitQueue, dev: &mut DeviceQueue, con
             }])
             .expect("a sound queue still accepts a chain");
         assert!(
-            !free.contains(&head) || true,
+            free.contains(&head),
             "[{context}] head came off the free list"
         );
         if let Some(chain) = dev.pop_avail() {
@@ -1260,4 +1260,366 @@ fn virtqueue_named_mutation_classes_are_counted_and_skipped() {
         dev3.errors().bad_chain >= 1,
         "the descriptor loop was abandoned and counted"
     );
+}
+
+// ======================================================== hostile frontends
+
+use mirage::devices::virtio::blk::{STATUS_IOERR, STATUS_OFF, STATUS_OK};
+use mirage::devices::{Backend, BlkOp, BlkRequest, DriverStats};
+use mirage::hypervisor::grant::SharedPage;
+use mirage::hypervisor::{DomainEnv, DomainId, Guest, Step, Wake};
+use mirage::ring::FrontRing;
+
+const RAW_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x77];
+const TAP_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x01];
+
+/// A guest that runs a closure as its scheduling step, so a test can
+/// speak a ring ABI by hand and post descriptors no driver would.
+struct Script<F>(F);
+
+impl<F: FnMut(&mut DomainEnv<'_>) -> Step + Send> Guest for Script<F> {
+    fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+        (self.0)(env)
+    }
+}
+
+/// One queue of a hand-driven frontend, on either ABI.
+enum RawQueue {
+    Ring(FrontRing),
+    Virtq(SplitQueue),
+}
+
+impl RawQueue {
+    /// Grants the queue's shared pages to `backend` and advertises them
+    /// under `{base}/{key}` (`key` names the ring; a virtqueue writes
+    /// `{key}desc`, `{key}avail` and `{key}used`).
+    fn advertise(
+        backend: Backend,
+        env: &mut DomainEnv<'_>,
+        xs: &Xenstore,
+        dom0: DomainId,
+        base: &str,
+        key: &str,
+    ) -> RawQueue {
+        match backend {
+            Backend::XenRing => {
+                let page = SharedPage::new();
+                let gref = env.grant(dom0, page.clone(), true);
+                xs.write(env, &format!("{base}/{key}"), &gref.0.to_string());
+                RawQueue::Ring(FrontRing::attach(page))
+            }
+            Backend::Virtio => {
+                let pages = QueuePages::new();
+                for (area, page, writable) in [
+                    ("desc", &pages.desc, false),
+                    ("avail", &pages.avail, false),
+                    ("used", &pages.used, true),
+                ] {
+                    let gref = env.grant(dom0, page.clone(), writable);
+                    xs.write(env, &format!("{base}/{key}{area}"), &gref.0.to_string());
+                }
+                RawQueue::Virtq(SplitQueue::new(pages))
+            }
+        }
+    }
+
+    /// Posts a ring request slot or a descriptor chain (whichever this
+    /// queue speaks); returns the chain head for virtqueues.
+    fn post(&mut self, slot: &[u8], chain: &[ChainBuf]) -> Option<u16> {
+        match self {
+            RawQueue::Ring(ring) => {
+                ring.push_request(slot).expect("ring has room");
+                None
+            }
+            RawQueue::Virtq(queue) => Some(queue.add_chain(chain).expect("queue has room").0),
+        }
+    }
+
+    /// Asks for a notification on the next response; `true` if one
+    /// raced in already.
+    fn arm(&mut self) -> bool {
+        match self {
+            RawQueue::Ring(ring) => ring.enable_response_notifications(),
+            RawQueue::Virtq(queue) => queue.enable_used_notifications(),
+        }
+    }
+
+    /// Every response slot or used `(head, len)` returned so far.
+    fn returned(&mut self) -> Vec<(Vec<u8>, u16, u32)> {
+        let mut out = Vec::new();
+        match self {
+            RawQueue::Ring(ring) => {
+                while let Some(rsp) = ring.take_response() {
+                    out.push((rsp, 0, 0));
+                }
+            }
+            RawQueue::Virtq(queue) => {
+                while let Some((head, len)) = queue.take_used() {
+                    out.push((Vec::new(), head, len));
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The xenstore directory a hand-driven device of `class` ("net" or
+/// "blk") announces itself under on `backend`.
+fn raw_base(backend: Backend, class: &str) -> String {
+    match backend {
+        Backend::XenRing => format!("device/{class}/raw"),
+        Backend::Virtio => format!("device/v{class}/raw"),
+    }
+}
+
+/// A 23-byte block request header, as both ABIs encode it.
+fn blk_header(op: u8, id: u64, sector: u64, count: u16, gref: u32) -> Vec<u8> {
+    let mut d = vec![op];
+    d.extend_from_slice(&id.to_le_bytes());
+    d.extend_from_slice(&sector.to_le_bytes());
+    d.extend_from_slice(&count.to_le_bytes());
+    d.extend_from_slice(&gref.to_le_bytes());
+    d
+}
+
+/// Boots dom0 (with a tap) and a hand-driven frontend whose script runs
+/// once the backend has published its event channel, then runs the
+/// world until the script exits. Returns the tap and dom0's counters.
+fn run_raw_frontend(
+    backend: Backend,
+    class: &'static str,
+    mut setup: impl FnMut(&mut DomainEnv<'_>, &Xenstore, DomainId, &str) -> Vec<RawQueue> + Send + 'static,
+    mut script: impl FnMut(&mut DomainEnv<'_>, DomainId, &mut [RawQueue]) -> bool + Send + 'static,
+) -> (Tap, DriverStats) {
+    let xs = Xenstore::new();
+    let mut hv = Hypervisor::new();
+    let tap = Tap::new(TAP_MAC);
+    let mut dom0 = DriverDomain::new(xs.clone());
+    dom0.add_tap(tap.clone());
+    let stats = dom0.stats_handle();
+    let d0 = hv.create_domain("dom0", 512, Box::new(dom0));
+
+    let base = raw_base(backend, class);
+    let port_key = match backend {
+        Backend::XenRing => format!("{base}/event-port"),
+        Backend::Virtio if class == "net" => format!("{base}/q0/event-port"),
+        Backend::Virtio => format!("{base}/event-port"),
+    };
+    let mut queues: Vec<RawQueue> = Vec::new();
+    let mut port = None;
+    let guest = Script(move |env: &mut DomainEnv<'_>| {
+        if queues.is_empty() {
+            xs.register_watcher(env.domid());
+            xs.write(env, &format!("{base}/frontend-domid"), &env.domid().0.to_string());
+            queues = setup(env, &xs, d0, &base);
+            xs.write(env, &format!("{base}/state"), "initialising");
+        }
+        if port.is_none() {
+            let Some(remote) = xs.read(env, &port_key).and_then(|p| p.parse().ok()) else {
+                return Step::Yield(Wake::never());
+            };
+            let local = env
+                .evtchn_bind(d0, mirage::hypervisor::event::Port(remote))
+                .expect("dom0 allocated the port");
+            port = Some(local);
+        }
+        let local = port.expect("bound");
+        let _ = env.evtchn_consume(local);
+        if script(env, d0, &mut queues) {
+            return Step::Exit(0);
+        }
+        env.evtchn_notify(local).expect("bound");
+        let raced = queues.iter_mut().fold(false, |raced, q| q.arm() | raced);
+        Step::Yield(if raced { Wake::now() } else { Wake::on_port(local) })
+    });
+    let raw = hv.create_domain("raw", 64, Box::new(guest));
+    hv.run_until(Time::ZERO + Dur::secs(1));
+    assert_eq!(hv.exit_code(raw), Some(0), "[{backend}] the frontend saw every request answered");
+    assert_eq!(hv.exit_code(d0), None, "[{backend}] dom0 survived");
+    let stats = *stats.lock();
+    (tap, stats)
+}
+
+/// A frame addressed to the tap.
+fn tap_frame() -> Vec<u8> {
+    let mut f = TAP_MAC.to_vec();
+    f.extend_from_slice(&RAW_MAC);
+    f.extend_from_slice(&[0x08, 0x00]);
+    f.extend_from_slice(&pattern(46));
+    f
+}
+
+/// A guest posts a TX descriptor longer than a page, then a good one. The
+/// bad descriptor comes back to the guest without being switched; the
+/// good one is switched to the tap.
+#[test]
+fn tx_descriptor_longer_than_a_page_is_handed_back_unswitched() {
+    let _guard = adversarial_lock().lock();
+    for backend in Backend::ALL {
+        let frame = tap_frame();
+        let flen = frame.len();
+        let setup = move |env: &mut DomainEnv<'_>, xs: &Xenstore, d0: DomainId, base: &str| {
+            let (tx, rx) = match backend {
+                Backend::XenRing => ("tx-ring", "rx-ring"),
+                Backend::Virtio => {
+                    xs.write(env, &format!("{base}/queues"), "1");
+                    ("q0/tx-", "q0/rx-")
+                }
+            };
+            vec![
+                RawQueue::advertise(backend, env, xs, d0, base, tx),
+                RawQueue::advertise(backend, env, xs, d0, base, rx),
+            ]
+        };
+        let mut posted = false;
+        let mut returned = Vec::new();
+        let script = move |env: &mut DomainEnv<'_>, d0: DomainId, queues: &mut [RawQueue]| {
+            if !posted {
+                let page = SharedPage::new();
+                page.write(|b| b[..flen].copy_from_slice(&frame));
+                let gref = env.grant(d0, page, false);
+                for len in [5000, flen] {
+                    let mut slot = gref.0.to_le_bytes().to_vec();
+                    slot.extend_from_slice(&(len as u16).to_le_bytes());
+                    let chain = [ChainBuf {
+                        addr: buf_addr(gref.0, 0),
+                        len: len as u32,
+                        device_writes: false,
+                    }];
+                    queues[0].post(&slot, &chain);
+                }
+                posted = true;
+            }
+            returned.extend(queues[0].returned());
+            returned.len() == 2
+        };
+        let (tap, stats) = run_raw_frontend(backend, "net", setup, script);
+        let switched = tap.harvest();
+        assert_eq!(switched.len(), 1, "[{backend}] only the good frame reached the tap");
+        assert_eq!(&switched[0][..], &tap_frame()[..], "[{backend}] the good frame is intact");
+        assert_eq!(stats.frames_switched, 1, "[{backend}] the bad descriptor was never switched");
+    }
+}
+
+/// A guest posts a 16-sector write (two pages into a one-page buffer),
+/// then a well-formed 8-sector one. The bad request completes with an
+/// error, the good one succeeds.
+#[test]
+fn sixteen_sector_blk_request_fails_cleanly() {
+    let _guard = adversarial_lock().lock();
+    for backend in Backend::ALL {
+        let setup = move |env: &mut DomainEnv<'_>, xs: &Xenstore, d0: DomainId, base: &str| {
+            xs.write(env, &format!("{base}/sectors"), "1024");
+            let key = match backend {
+                Backend::XenRing => "ring",
+                Backend::Virtio => "",
+            };
+            vec![RawQueue::advertise(backend, env, xs, d0, base, key)]
+        };
+        let mut headers: Vec<SharedPage> = Vec::new();
+        let mut returned = Vec::new();
+        let outcome = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&outcome);
+        let script = move |env: &mut DomainEnv<'_>, d0: DomainId, queues: &mut [RawQueue]| {
+            if headers.is_empty() {
+                let data = SharedPage::new();
+                let data_gref = env.grant(d0, data, true);
+                for (id, count) in [(1u64, 16u16), (2, 8)] {
+                    let header = blk_header(1, id, 0, count, data_gref.0);
+                    let page = SharedPage::new();
+                    page.write(|b| {
+                        b[..23].copy_from_slice(&header);
+                        b[STATUS_OFF] = 0xFF;
+                    });
+                    let hdr_gref = env.grant(d0, page.clone(), true);
+                    headers.push(page);
+                    let chain = [
+                        ChainBuf { addr: buf_addr(hdr_gref.0, 0), len: 23, device_writes: false },
+                        ChainBuf { addr: buf_addr(data_gref.0, 0), len: 4096, device_writes: false },
+                        ChainBuf {
+                            addr: buf_addr(hdr_gref.0, STATUS_OFF),
+                            len: 1,
+                            device_writes: true,
+                        },
+                    ];
+                    queues[0].post(&header, &chain);
+                }
+            }
+            returned.extend(queues[0].returned());
+            if returned.len() < 2 {
+                return false;
+            }
+            // (id, ok) per completion, in completion order.
+            let done: Vec<(u64, bool)> = match backend {
+                Backend::XenRing => returned
+                    .iter()
+                    .map(|(rsp, _, _)| (u64::from_le_bytes(rsp[..8].try_into().unwrap()), rsp[8] != 0))
+                    .collect(),
+                Backend::Virtio => headers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, page)| {
+                        let status = page.read(|b| b[STATUS_OFF]);
+                        assert!(
+                            status == STATUS_OK || status == STATUS_IOERR,
+                            "status byte written"
+                        );
+                        (i as u64 + 1, status == STATUS_OK)
+                    })
+                    .collect(),
+            };
+            *seen.lock() = done;
+            true
+        };
+        run_raw_frontend(backend, "blk", setup, script);
+        let mut done = outcome.lock().clone();
+        done.sort_unstable();
+        assert_eq!(
+            done,
+            vec![(1, false), (2, true)],
+            "[{backend}] the 16-sector request failed, the good one succeeded"
+        );
+    }
+}
+
+/// A two-sector read at `u64::MAX - 1`, whose range overflows, sent
+/// through the normal driver API, completes with an error; the disk
+/// keeps serving.
+#[test]
+fn blk_read_at_the_end_of_the_sector_space_fails_cleanly() {
+    let _guard = adversarial_lock().lock();
+    for backend in Backend::ALL {
+        let xs = Xenstore::new();
+        let mut hv = Hypervisor::new();
+        let d0 = hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+        let (front, mut bh) = backend.blk(xs.clone(), "vda", 1024);
+        let mut guest = UnikernelGuest::new(move |_env, rt| {
+            rt.clone().spawn(async move {
+                let read = |id, sector, count| BlkRequest { id, op: BlkOp::Read, sector, count, data: None };
+                bh.submit.send(read(1, u64::MAX - 1, 2)).unwrap();
+                let bad = bh.complete.recv().await.unwrap();
+                assert!(!bad.ok, "a read past u64::MAX fails");
+                let payload = pattern(512);
+                bh.submit
+                    .send(BlkRequest {
+                        id: 2,
+                        op: BlkOp::Write,
+                        sector: 7,
+                        count: 1,
+                        data: Some(payload.clone()),
+                    })
+                    .unwrap();
+                assert!(bh.complete.recv().await.unwrap().ok, "a later write succeeds");
+                bh.submit.send(read(3, 7, 1)).unwrap();
+                let good = bh.complete.recv().await.unwrap();
+                assert_eq!(good.data.as_deref(), Some(&payload[..]), "and reads back");
+                0
+            })
+        });
+        guest.add_device(front);
+        let g = hv.create_domain("guest", 64, Box::new(guest));
+        hv.run_until(Time::ZERO + Dur::secs(1));
+        assert_eq!(hv.exit_code(g), Some(0), "[{backend}] the guest saw every completion");
+        assert_eq!(hv.exit_code(d0), None, "[{backend}] dom0 survived");
+    }
 }
