@@ -1,9 +1,11 @@
 //! Figure 12 — "Simple dynamic web appliance performance": httperf-style
 //! sessions (9 GETs + 1 POST) against the Twitter-like appliance, Mirage
 //! vs nginx+FastCGI+web.py, with a Criterion measurement of the real
-//! B-tree-backed request path.
+//! B-tree-backed request path. `--json <path>` writes the Criterion
+//! timings there.
 
 use mirage_baseline::DynamicWebVariant;
+use mirage_bench::obj;
 use mirage_bench::report;
 use mirage_hypervisor::CostTable;
 use mirage_hypervisor::Hypervisor;
@@ -61,4 +63,5 @@ fn main() {
         })
     });
     c.final_summary();
+    report::write_json(&obj! { "criterion" => report::timings(c.results()) });
 }

@@ -2,15 +2,19 @@
 //! conventional per-packet syscall + user/kernel copy path, measured by
 //! running the *same* live TCP bulk transfer with the netfront configured
 //! either way — plus the notification-suppression and page-recycling
-//! evidence the paper's design depends on.
+//! evidence the paper's design depends on. `--json <path>` writes the
+//! speedup, the copy audit and the Criterion timings there.
 
 use mirage_cstruct::{copy_counters, reset_copy_counters, CopyCounters, PagePool};
-use mirage_devices::netfront::{CopyDiscipline, Netfront};
-use mirage_devices::{DriverDomain, NetProfile, Xenstore};
+use mirage_devices::netfront::CopyDiscipline;
+use mirage_devices::{Backend, NetProfile};
 use mirage_http::{HandlerFuture, HttpConnection, HttpServer, Request, Response, Router};
-use mirage_hypervisor::{Dur, Hypervisor, Time};
-use mirage_net::{Ipv4Addr, Mac, Stack, StackConfig};
-use mirage_runtime::UnikernelGuest;
+use mirage_hypervisor::{Dur, Time};
+use mirage_net::{Ipv4Addr, StackConfig};
+
+use mirage_bench::netsim::World;
+use mirage_bench::obj;
+use mirage_bench::report::{self, rounded};
 
 const TX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const RX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -18,23 +22,12 @@ const RX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 /// Bulk-transfers `bytes` with both endpoints using `discipline`; returns
 /// (virtual completion seconds, hypervisor notification count).
 fn transfer(discipline: CopyDiscipline, bytes: usize) -> (f64, u64) {
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::new();
-    hv.create_domain(
-        "dom0",
-        512,
-        Box::new(DriverDomain::with_profiles(
-            xs.clone(),
-            NetProfile::ten_gbe(),
-            mirage_devices::DiskProfile::pcie_ssd(),
-        )),
-    );
+    let mut world = World::new(6, NetProfile::ten_gbe(), 1, Backend::XenRing, 1);
+    world.discipline = discipline;
 
-    let (front_rx, nh_rx) = Netfront::new(xs.clone(), "rx", Mac::local(2).0, discipline);
-    let mut rx = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_rx, StackConfig::static_ip(RX_IP));
-        let rt2 = rt.clone();
-        rt.spawn(async move {
+    let rx_cfg = StackConfig::static_ip(RX_IP);
+    let rx_dom = world.guest("rx", 64, ("rx", 2), rx_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
             let mut listener = stack.tcp_listen(5001).await.unwrap();
             let mut stream = listener.accept().await.unwrap();
             let mut got = 0usize;
@@ -42,18 +35,14 @@ fn transfer(discipline: CopyDiscipline, bytes: usize) -> (f64, u64) {
                 got += chunk.len();
             }
             assert_eq!(got, bytes);
-            rt2.now().as_nanos() as i64
+            rt.now().as_nanos() as i64
         })
     });
-    rx.add_device(Box::new(front_rx));
-    let rx_dom = hv.create_domain("rx", 64, Box::new(rx));
 
-    let (front_tx, nh_tx) = Netfront::new(xs.clone(), "tx", Mac::local(1).0, discipline);
-    let mut tx = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_tx, StackConfig::static_ip(TX_IP));
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
+    let tx_cfg = StackConfig::static_ip(TX_IP);
+    world.guest("tx", 64, ("tx", 1), tx_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
+            rt.sleep(Dur::millis(5)).await;
             let mut stream = stack.tcp_connect(RX_IP, 5001).await.unwrap();
             let chunk = vec![7u8; 16 * 1024];
             let mut sent = 0;
@@ -61,16 +50,15 @@ fn transfer(discipline: CopyDiscipline, bytes: usize) -> (f64, u64) {
                 let n = chunk.len().min(bytes - sent);
                 stream.write(&chunk[..n]);
                 sent += n;
-                rt2.yield_now().await;
+                rt.yield_now().await;
             }
             stream.close();
             stream.wait_closed().await;
             0i64
         })
     });
-    tx.add_device(Box::new(front_tx));
-    hv.create_domain("tx", 64, Box::new(tx));
 
+    let hv = &mut world.hv;
     hv.run_until(Time::ZERO + Dur::secs(300));
     let finished = hv.exit_code(rx_dom).expect("transfer completed") as u64;
     let elapsed = Time::from_nanos(finished).saturating_since(Time::ZERO + Dur::millis(5));
@@ -90,46 +78,28 @@ fn http_static_copy_audit(file_len: usize, requests: usize) -> (CopyCounters, u6
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 80);
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 99);
 
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::new();
-    hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+    let mut world = World::new(6, NetProfile::default(), 1, Backend::XenRing, 1);
 
     let file: Vec<u8> = (0..file_len).map(|i| (i % 251) as u8).collect();
     let expect = file.clone();
 
-    let (front_s, nh_s) = Netfront::new(
-        xs.clone(),
-        "static",
-        Mac::local(80).0,
-        CopyDiscipline::ZeroCopy,
-    );
-    let mut appliance = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SERVER_IP));
-        let rt2 = rt.clone();
-        rt.spawn(async move {
+    let (nic, server_cfg) = (("static", 80), StackConfig::static_ip(SERVER_IP));
+    world.guest("static-web", 64, nic, server_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
             let router = Router::new().get("/file", move |_req: Request| -> HandlerFuture {
                 let body = file.clone();
                 Box::pin(async move { Response::ok("application/octet-stream", body) })
             });
             let server = HttpServer::new(router);
             let listener = stack.tcp_listen(80).await.unwrap();
-            server.serve(rt2, listener).await
+            server.serve(rt, listener).await
         })
     });
-    appliance.add_device(Box::new(front_s));
-    hv.create_domain("static-web", 64, Box::new(appliance));
 
-    let (front_c, nh_c) = Netfront::new(
-        xs.clone(),
-        "fetch",
-        Mac::local(99).0,
-        CopyDiscipline::ZeroCopy,
-    );
-    let mut client = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
+    let (nic, client_cfg) = (("fetch", 99), StackConfig::static_ip(CLIENT_IP));
+    let cdom = world.guest("fetcher", 64, nic, client_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
+            rt.sleep(Dur::millis(5)).await;
             let mut conn = HttpConnection::open(&stack, SERVER_IP, 80).await.unwrap();
             for _ in 0..requests {
                 let resp = conn.request(&Request::get("/file")).await.unwrap();
@@ -140,17 +110,15 @@ fn http_static_copy_audit(file_len: usize, requests: usize) -> (CopyCounters, u6
             0
         })
     });
-    client.add_device(Box::new(front_c));
-    let cdom = hv.create_domain("fetcher", 64, Box::new(client));
 
     reset_copy_counters();
-    hv.run_until(Time::ZERO + Dur::secs(60));
-    assert_eq!(hv.exit_code(cdom), Some(0), "all fetches completed");
+    world.hv.run_until(Time::ZERO + Dur::secs(60));
+    assert_eq!(world.hv.exit_code(cdom), Some(0), "all fetches completed");
     (copy_counters(), (file_len * requests) as u64)
 }
 
 fn main() {
-    mirage_bench::report::banner(
+    report::banner(
         "Ablation",
         "zero-copy discipline vs per-packet syscall+copy (live 2 MB transfer)",
     );
@@ -159,7 +127,7 @@ fn main() {
     let (cp_time, cp_notifies) = transfer(CopyDiscipline::UserKernelCopy, bytes);
     let zc_mbps = bytes as f64 * 8.0 / zc_time / 1e6;
     let cp_mbps = bytes as f64 * 8.0 / cp_time / 1e6;
-    mirage_bench::report::table(
+    report::table(
         &["discipline", "Mb/s", "notifications"],
         &[
             vec![
@@ -215,7 +183,7 @@ fn main() {
         "at most one software copy per delivered payload byte (got {per_byte:.3})"
     );
     assert!(
-        counters.serialize_bytes as u64 >= delivered,
+        counters.serialize_bytes >= delivered,
         "every delivered byte crossed the wire exactly once or more"
     );
 
@@ -224,4 +192,16 @@ fn main() {
         b.iter(|| transfer(CopyDiscipline::ZeroCopy, 500_000))
     });
     c.final_summary();
+    report::write_json(&obj! {
+        "criterion" => report::timings(c.results()),
+        "zero_copy_speedup" => rounded(zc_mbps / cp_mbps, 2),
+        "http_static_path" => obj! {
+            "delivered_bytes" => delivered,
+            "copies" => counters.copies,
+            "copy_bytes" => counters.copy_bytes,
+            "serializes" => counters.serializes,
+            "serialize_bytes" => counters.serialize_bytes,
+            "copied_bytes_per_delivered_byte" => rounded(per_byte, 3),
+        },
+    });
 }

@@ -1,16 +1,26 @@
 //! iperf harness (paper Figure 8): real TCP flows between two stacks
 //! through the simulated switch, with the per-endpoint cost profiles of
-//! [`mirage_baseline::netperf`] charged on the data path.
+//! [`mirage_baseline::netperf`] charged on the data path. Its [`World`]
+//! (a host, dom0 and networked guests) is shared by the other live-stack
+//! harnesses.
 
 use mirage_baseline::netperf::{TcpEndpoint, MSS};
 use mirage_devices::netfront::CopyDiscipline;
 use mirage_devices::{Backend, DriverDomain, NetProfile, Xenstore};
-use mirage_hypervisor::{Dur, Hypervisor, Time};
+use mirage_hypervisor::{DomainId, Dur, Hypervisor, Time};
 use mirage_net::{Ipv4Addr, Mac, Stack, StackConfig};
+use mirage_runtime::channel::JoinHandle;
 use mirage_runtime::{Runtime, UnikernelGuest};
 
 const TX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const RX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+
+/// The Figure 8 pairings: (label, sender, receiver).
+pub const PAIRINGS: [(&str, TcpEndpoint, TcpEndpoint); 3] = [
+    ("Linux to Linux", TcpEndpoint::Linux, TcpEndpoint::Linux),
+    ("Linux to Mirage", TcpEndpoint::Linux, TcpEndpoint::Mirage),
+    ("Mirage to Linux", TcpEndpoint::Mirage, TcpEndpoint::Linux),
+];
 
 /// Result of one iperf run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,126 +52,9 @@ pub fn iperf_on(
     flows: usize,
     bytes_per_flow: usize,
 ) -> IperfResult {
-    let costs = mirage_hypervisor::CostTable::defaults();
-    // Charge the shared state-machine work plus the endpoint profile per
-    // segment — the same decomposition as the Figure 8 model, but here the
-    // segments actually flow through the live stack.
-    let shared = Dur::micros(5) + costs.copy(MSS / 8);
-    let tx_per_seg = shared + tx.profile(&costs).tx_per_segment;
-    let rx_per_seg = shared + rx.profile(&costs).rx_per_segment;
-
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::new();
     // Inter-VM path: the fabric is not the bottleneck (10 GbE model).
-    hv.create_domain(
-        "dom0",
-        512,
-        Box::new(DriverDomain::with_profiles(
-            xs.clone(),
-            NetProfile::ten_gbe(),
-            mirage_devices::DiskProfile::pcie_ssd(),
-        )),
-    );
-
-    // Bound each flow's advertised window so aggregate in-flight data
-    // stays within the switch queueing budget (the paper's 64-slot rings
-    // impose the same back-pressure).
-    let tcp_cfg = mirage_net::tcp::TcpConfig::builder()
-        .recv_buf(64 * 1024)
-        .build()
-        .expect("valid tcp config");
-    let stack_cfg = |ip| {
-        StackConfig::builder(ip)
-            .tcp(tcp_cfg.clone())
-            .build()
-            .expect("valid stack config")
-    };
-    let rx_cfg = stack_cfg(RX_IP);
-    let tx_cfg = stack_cfg(TX_IP);
-
-    // Receiver.
-    let (front_rx, nh_rx) = backend.net(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
-    let total_expected = (flows * bytes_per_flow) as u64;
-    let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_rx, rx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            let mut listener = stack.tcp_listen(5001).await.unwrap();
-            let mut handles = Vec::new();
-            for _ in 0..flows {
-                let mut stream = listener.accept().await.unwrap();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn(async move {
-                    let mut got = 0u64;
-                    while let Some(chunk) = stream.read().await {
-                        let segs = chunk.len().div_ceil(MSS) as u64;
-                        rt3.charge(Dur::nanos(rx_per_seg.as_nanos() * segs));
-                        got += chunk.len() as u64;
-                    }
-                    got
-                }));
-            }
-            let mut total = 0u64;
-            for h in handles {
-                total += h.await;
-            }
-            assert_eq!(total, total_expected, "all flow bytes delivered");
-            // Report the virtual completion instant (ns); the harness
-            // excludes connection teardown (TIME-WAIT) from goodput, as
-            // iperf does.
-            rt2.now().as_nanos() as i64
-        })
-    });
-    rx_guest.add_device(front_rx);
-    let rx_dom = hv.create_domain("iperf-rx", 128, Box::new(rx_guest));
-
-    // Sender.
-    let (front_tx, nh_tx) = backend.net(xs.clone(), "tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
-    let mut tx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_tx, tx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
-            let mut handles = Vec::new();
-            for f in 0..flows {
-                let stack = stack.clone();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn(async move {
-                    let mut stream = stack.tcp_connect(RX_IP, 5001).await.expect("connect");
-                    let chunk = vec![(f % 251) as u8; 16 * 1024];
-                    let mut sent = 0usize;
-                    while sent < bytes_per_flow {
-                        let n = chunk.len().min(bytes_per_flow - sent);
-                        let segs = n.div_ceil(MSS) as u64;
-                        rt3.charge(Dur::nanos(tx_per_seg.as_nanos() * segs));
-                        stream.write(&chunk[..n]);
-                        sent += n;
-                        // Yield so TCP can drain under flow control.
-                        rt3.yield_now().await;
-                    }
-                    stream.close();
-                    stream.wait_closed().await;
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            0i64
-        })
-    });
-    tx_guest.add_device(front_tx);
-    hv.create_domain("iperf-tx", 128, Box::new(tx_guest));
-
-    hv.set_step_budget(400_000_000);
-    hv.run_until(Time::ZERO + Dur::secs(600));
-    let finished_ns = hv.exit_code(rx_dom).expect("receiver finished") as u64;
-    // Senders start after a 5 ms settle; goodput excludes that lead-in.
-    let start = Time::ZERO + Dur::millis(5);
-    let elapsed = Time::from_nanos(finished_ns).saturating_since(start);
-    IperfResult {
-        mbps: total_expected as f64 * 8.0 / elapsed.as_secs_f64() / 1e6,
-        bytes: total_expected,
-    }
+    let world = World::new(6, NetProfile::ten_gbe(), 1, backend, 1);
+    run_iperf(world, "iperf", tx, rx, flows, bytes_per_flow)
 }
 
 /// Runs `flows` bulk flows between two `vcpus`-wide SMP unikernels: each
@@ -191,29 +84,108 @@ pub fn iperf_smp_on(
     flows: usize,
     bytes_per_flow: usize,
 ) -> IperfResult {
-    assert!(vcpus > 0, "need at least one vCPU");
+    let world = World::smp(backend, vcpus);
+    run_iperf(world, "iperf-smp", tx, rx, flows, bytes_per_flow)
+}
+
+/// A host with a running dom0, and the shape of the guests booted on it:
+/// each is `vcpus` wide with one NIC over `backend`.
+pub struct World {
+    /// The host.
+    pub hv: Hypervisor,
+    xs: Xenstore,
+    backend: Backend,
+    vcpus: usize,
+    /// Copy discipline of the NICs booted from here on (default
+    /// zero-copy).
+    pub discipline: CopyDiscipline,
+}
+
+impl World {
+    /// A `pcpus`-pCPU host whose dom0, `dom0_vcpus` wide, switches at
+    /// `fabric` line rate.
+    pub fn new(
+        pcpus: usize,
+        fabric: NetProfile,
+        dom0_vcpus: usize,
+        backend: Backend,
+        vcpus: usize,
+    ) -> World {
+        let xs = Xenstore::new();
+        let mut hv = Hypervisor::with_pcpus(pcpus);
+        let disk = mirage_devices::DiskProfile::pcie_ssd();
+        let dom0 = DriverDomain::with_profiles(xs.clone(), fabric, disk);
+        hv.create_domain_vcpus("dom0", 512, Box::new(dom0), dom0_vcpus);
+        World {
+            hv,
+            xs,
+            backend,
+            vcpus,
+            discipline: CopyDiscipline::ZeroCopy,
+        }
+    }
+
+    /// The SMP runs' host: enough pCPUs that no guest's vCPU gang ever
+    /// waits on the host, a 40 GbE fabric and a two-lane dom0 — they
+    /// measure CPU scaling, so neither line rate nor a single-core dom0
+    /// may be the bottleneck.
+    fn smp(backend: Backend, vcpus: usize) -> World {
+        assert!(vcpus > 0, "need at least one vCPU");
+        World::new(2 + 2 * vcpus, NetProfile::forty_gbe(), 2, backend, vcpus)
+    }
+
+    /// Boots domain `name` with `mem_mib` MiB: NIC `nic` (MAC
+    /// `Mac::local(mac)`, one queue per vCPU) feeds one shard worker per
+    /// queue of a stack configured by `cfg`; `main` gets that stack and
+    /// the runtime, and returns the domain's main thread.
+    pub fn guest(
+        &mut self,
+        name: &str,
+        mem_mib: u64,
+        (nic, mac): (&str, u32),
+        cfg: StackConfig,
+        main: impl FnOnce(Stack, Runtime) -> JoinHandle<i64> + Send + 'static,
+    ) -> DomainId {
+        let (front, handles) = self.backend.net_multiqueue(
+            self.xs.clone(),
+            nic,
+            Mac::local(mac).0,
+            self.discipline,
+            self.vcpus,
+        );
+        let mut guest = UnikernelGuest::with_runtime(Runtime::smp(self.vcpus), move |_env, rt| {
+            main(Stack::spawn_sharded(rt, handles, cfg), rt.clone())
+        });
+        guest.add_device(front);
+        self.hv
+            .create_domain_vcpus(name, mem_mib, Box::new(guest), self.vcpus)
+    }
+}
+
+/// The iperf run behind [`iperf_on`] and [`iperf_smp_on`], between
+/// guests `{name}-rx` and `{name}-tx`. Flow tasks are pinned round-robin
+/// across cores; on one vCPU that is where the executor runs them anyway
+/// (it steals only between cores).
+fn run_iperf(
+    mut world: World,
+    name: &str,
+    tx: TcpEndpoint,
+    rx: TcpEndpoint,
+    flows: usize,
+    bytes_per_flow: usize,
+) -> IperfResult {
+    let vcpus = world.vcpus;
     let costs = mirage_hypervisor::CostTable::defaults();
+    // Charge the shared state-machine work plus the endpoint profile per
+    // segment — the same decomposition as the Figure 8 model, but here the
+    // segments actually flow through the live stack.
     let shared = Dur::micros(5) + costs.copy(MSS / 8);
     let tx_per_seg = shared + tx.profile(&costs).tx_per_segment;
     let rx_per_seg = shared + rx.profile(&costs).rx_per_segment;
 
-    let xs = Xenstore::new();
-    // Enough pCPUs that no guest's vCPU gang ever waits on the host.
-    let mut hv = Hypervisor::with_pcpus(2 + 2 * vcpus);
-    // A 40 GbE fabric and a switch lane per port: the matrix measures CPU
-    // scaling, so neither line rate nor a single-core dom0 may be the
-    // bottleneck.
-    hv.create_domain_vcpus(
-        "dom0",
-        512,
-        Box::new(DriverDomain::with_profiles(
-            xs.clone(),
-            NetProfile::forty_gbe(),
-            mirage_devices::DiskProfile::pcie_ssd(),
-        )),
-        2,
-    );
-
+    // Bound each flow's advertised window so aggregate in-flight data
+    // stays within the switch queueing budget (the paper's 64-slot rings
+    // impose the same back-pressure).
     let tcp_cfg = mirage_net::tcp::TcpConfig::builder()
         .recv_buf(64 * 1024)
         .build()
@@ -224,28 +196,17 @@ pub fn iperf_smp_on(
             .build()
             .expect("valid stack config")
     };
-    let rx_cfg = stack_cfg(RX_IP);
-    let tx_cfg = stack_cfg(TX_IP);
 
-    // Receiver: one RX queue per vCPU, one shard worker per queue.
-    let (front_rx, handles_rx) = backend.net_multiqueue(
-        xs.clone(),
-        "rx",
-        Mac::local(2).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
     let total_expected = (flows * bytes_per_flow) as u64;
-    let mut rx_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_rx, rx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
+    let (rx_name, rx_cfg) = (format!("{name}-rx"), stack_cfg(RX_IP));
+    let rx_dom = world.guest(&rx_name, 128, ("rx", 2), rx_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
             let mut listener = stack.tcp_listen(5001).await.unwrap();
             let mut handles = Vec::new();
             for f in 0..flows {
                 let mut stream = listener.accept().await.unwrap();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn_on(f % vcpus, async move {
+                let rt3 = rt.clone();
+                handles.push(rt.spawn_on(f % vcpus, async move {
                     let mut got = 0u64;
                     while let Some(chunk) = stream.read().await {
                         let segs = chunk.len().div_ceil(MSS) as u64;
@@ -260,30 +221,22 @@ pub fn iperf_smp_on(
                 total += h.await;
             }
             assert_eq!(total, total_expected, "all flow bytes delivered");
-            rt2.now().as_nanos() as i64
+            // Report the virtual completion instant (ns); the harness
+            // excludes connection teardown (TIME-WAIT) from goodput, as
+            // iperf does.
+            rt.now().as_nanos() as i64
         })
     });
-    rx_guest.add_device(front_rx);
-    let rx_dom = hv.create_domain_vcpus("iperf-smp-rx", 128, Box::new(rx_guest), vcpus);
 
-    // Sender, mirrored: sharded stack, flow tasks pinned round-robin.
-    let (front_tx, handles_tx) = backend.net_multiqueue(
-        xs.clone(),
-        "tx",
-        Mac::local(1).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
-    let mut tx_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_tx, tx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
+    let (tx_name, tx_cfg) = (format!("{name}-tx"), stack_cfg(TX_IP));
+    world.guest(&tx_name, 128, ("tx", 1), tx_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
+            rt.sleep(Dur::millis(5)).await;
             let mut handles = Vec::new();
             for f in 0..flows {
                 let stack = stack.clone();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn_on(f % vcpus, async move {
+                let rt3 = rt.clone();
+                handles.push(rt.spawn_on(f % vcpus, async move {
                     let mut stream = stack.tcp_connect(RX_IP, 5001).await.expect("connect");
                     let chunk = vec![(f % 251) as u8; 16 * 1024];
                     let mut sent = 0usize;
@@ -293,6 +246,7 @@ pub fn iperf_smp_on(
                         rt3.charge(Dur::nanos(tx_per_seg.as_nanos() * segs));
                         stream.write(&chunk[..n]);
                         sent += n;
+                        // Yield so TCP can drain under flow control.
                         rt3.yield_now().await;
                     }
                     stream.close();
@@ -305,12 +259,12 @@ pub fn iperf_smp_on(
             0i64
         })
     });
-    tx_guest.add_device(front_tx);
-    hv.create_domain_vcpus("iperf-smp-tx", 128, Box::new(tx_guest), vcpus);
 
+    let hv = &mut world.hv;
     hv.set_step_budget(400_000_000);
     hv.run_until(Time::ZERO + Dur::secs(600));
     let finished_ns = hv.exit_code(rx_dom).expect("receiver finished") as u64;
+    // Senders start after a 5 ms settle; goodput excludes that lead-in.
     let start = Time::ZERO + Dur::millis(5);
     let elapsed = Time::from_nanos(finished_ns).saturating_since(start);
     IperfResult {
@@ -340,36 +294,15 @@ pub struct IdleSmpReport {
 pub fn idle_smp(vcpus: usize, conns: usize, quiet: Dur) -> IdleSmpReport {
     use std::sync::{Arc, Mutex};
 
-    assert!(vcpus > 0, "need at least one vCPU");
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::with_pcpus(2 + 2 * vcpus);
-    hv.create_domain_vcpus(
-        "dom0",
-        512,
-        Box::new(DriverDomain::with_profiles(
-            xs.clone(),
-            NetProfile::forty_gbe(),
-            mirage_devices::DiskProfile::pcie_ssd(),
-        )),
-        2,
-    );
-
+    let mut world = World::smp(Backend::XenRing, vcpus);
     let report: Arc<Mutex<Option<IdleSmpReport>>> = Arc::new(Mutex::new(None));
 
     // Server: sharded stack, parks every accepted stream for the duration.
-    let (front_srv, handles_srv) = Backend::XenRing.net_multiqueue(
-        xs.clone(),
-        "idle-srv",
-        Mac::local(2).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
     let srv_cfg = StackConfig::builder(RX_IP).build().expect("valid config");
     let report_w = Arc::clone(&report);
-    let mut srv_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_srv, srv_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
+    let nic = ("idle-srv", 2);
+    let srv_dom = world.guest("idle-smp-srv", 256, nic, srv_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
             let mut listener = stack.tcp_listen(80).await.unwrap();
             let mut parked = Vec::with_capacity(conns);
             for _ in 0..conns {
@@ -377,7 +310,7 @@ pub fn idle_smp(vcpus: usize, conns: usize, quiet: Dur) -> IdleSmpReport {
             }
             // Everything established and idle: measure the quiet window.
             let before = stack.stack_stats_per_core().await.unwrap();
-            rt2.sleep(quiet).await;
+            rt.sleep(quiet).await;
             let after = stack.stack_stats_per_core().await.unwrap();
             *report_w.lock().unwrap() = Some(IdleSmpReport {
                 conns_per_core: after.iter().map(|s| s.conns).collect(),
@@ -391,30 +324,20 @@ pub fn idle_smp(vcpus: usize, conns: usize, quiet: Dur) -> IdleSmpReport {
             0i64
         })
     });
-    srv_guest.add_device(front_srv);
-    let srv_dom = hv.create_domain_vcpus("idle-smp-srv", 256, Box::new(srv_guest), vcpus);
 
     // Client: same width, each core ramps its share of the connections
     // sequentially and parks them (keep-alive, no requests).
-    let (front_cli, handles_cli) = Backend::XenRing.net_multiqueue(
-        xs.clone(),
-        "idle-cli",
-        Mac::local(1).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
     let cli_cfg = StackConfig::builder(TX_IP).build().expect("valid config");
-    let mut cli_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_cli, cli_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
+    let nic = ("idle-cli", 1);
+    world.guest("idle-smp-cli", 256, nic, cli_cfg, move |stack, rt| {
+        rt.clone().spawn(async move {
+            rt.sleep(Dur::millis(5)).await;
             let mut handles = Vec::new();
             for core in 0..vcpus {
                 let share = conns / vcpus + usize::from(core < conns % vcpus);
                 let stack = stack.clone();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn_on(core, async move {
+                let rt3 = rt.clone();
+                handles.push(rt.spawn_on(core, async move {
                     let mut parked = Vec::with_capacity(share);
                     for _ in 0..share {
                         parked.push(stack.tcp_connect(RX_IP, 80).await.expect("connect"));
@@ -431,9 +354,8 @@ pub fn idle_smp(vcpus: usize, conns: usize, quiet: Dur) -> IdleSmpReport {
             0i64
         })
     });
-    cli_guest.add_device(front_cli);
-    hv.create_domain_vcpus("idle-smp-cli", 256, Box::new(cli_guest), vcpus);
 
+    let hv = &mut world.hv;
     hv.set_step_budget(400_000_000);
     hv.run_until(Time::ZERO + Dur::secs(3000));
     assert_eq!(hv.exit_code(srv_dom), Some(0), "server finished its window");

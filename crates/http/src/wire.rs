@@ -533,7 +533,7 @@ mod tests {
         p2.feed(b"GET / SPDY/9\r\n\r\n");
         assert_eq!(p2.take(), Err(HttpError::Malformed));
         let mut p3 = RequestParser::new();
-        p3.feed(&vec![b'x'; MAX_HEADER_BYTES + 1]);
+        p3.feed(vec![b'x'; MAX_HEADER_BYTES + 1]);
         assert_eq!(p3.take(), Err(HttpError::TooLarge));
     }
 

@@ -103,7 +103,7 @@ impl ConnMgmt {
     }
 
     /// A SYN arrived on a listener (or a simultaneous open crossed ours).
-    pub fn to_syn_rcvd(&mut self) {
+    pub fn enter_syn_rcvd(&mut self) {
         self.state = State::SynRcvd;
     }
 

@@ -51,7 +51,7 @@ impl Connection {
                 if seg.flags.syn {
                     self.rod.init_recv(seg.seq.wrapping_add(1));
                     self.learn_options(seg);
-                    self.cm.to_syn_rcvd();
+                    self.cm.enter_syn_rcvd();
                     let synack = self.make_syn(true);
                     out.segments.push(synack);
                     self.cm.begin_handshake();
@@ -75,7 +75,7 @@ impl Connection {
                     // Simultaneous open.
                     self.rod.init_recv(seg.seq.wrapping_add(1));
                     self.learn_options(seg);
-                    self.cm.to_syn_rcvd();
+                    self.cm.enter_syn_rcvd();
                     let synack = self.make_syn(true);
                     out.segments.push(synack);
                 }

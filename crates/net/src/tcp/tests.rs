@@ -438,7 +438,7 @@ fn duplicate_segments_do_not_duplicate_data() {
 fn out_of_order_segments_reassemble() {
     let (mut client, mut server, mut _c_out, mut s_out, now) = handshake();
     // Client produces two segments; deliver the second first.
-    let out = client.app_send(&vec![b'x'; 1460], now);
+    let out = client.app_send(vec![b'x'; 1460], now);
     let out2 = client.app_send(&[b'y'; 100], now);
     let first = &out.segments[0];
     let second = &out2.segments[0];

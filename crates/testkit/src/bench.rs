@@ -1,9 +1,8 @@
 //! A thin wall-clock benchmark harness with the slice of the criterion
 //! API the `crates/bench` figure harnesses use: `Criterion` with builder
 //! knobs, `bench_function`/`Bencher::iter`, `black_box`, and
-//! `final_summary`. Results print as an aligned table plus one JSON line
-//! per benchmark (machine-scrapable, same spirit as
-//! `crates/bench/src/report.rs` tables).
+//! `final_summary`. Results print as an aligned table; harnesses that
+//! record them take [`Criterion::results`].
 
 use std::time::{Duration, Instant};
 
@@ -105,8 +104,8 @@ impl Criterion {
         self
     }
 
-    /// Prints the summary table and JSON lines for every benchmark run so
-    /// far. Mirrors criterion's `final_summary` call shape.
+    /// Prints the summary table for every benchmark run so far. Mirrors
+    /// criterion's `final_summary` call shape.
     pub fn final_summary(&mut self) {
         if self.results.is_empty() {
             return;
@@ -125,15 +124,9 @@ impl Criterion {
                 fmt_ns(r.min_ns)
             );
         }
-        for r in &self.results {
-            println!(
-                "{{\"name\":\"{}\",\"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"iters\":{}}}",
-                r.name, r.median_ns, r.mean_ns, r.min_ns, r.iters
-            );
-        }
     }
 
-    /// The collected results (for harnesses that post-process).
+    /// The collected results (for harnesses that record them).
     pub fn results(&self) -> &[Sample] {
         &self.results
     }

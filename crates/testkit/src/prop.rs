@@ -261,11 +261,9 @@ pub mod collection {
                 if half < value.len() && half > min {
                     out.push(value[..half].to_vec());
                 }
-                if value.len() >= 1 && value.len() - 1 >= min {
-                    // Drop the last, then the first element.
-                    out.push(value[..value.len() - 1].to_vec());
-                    out.push(value[1..].to_vec());
-                }
+                // Drop the last, then the first element.
+                out.push(value[..value.len() - 1].to_vec());
+                out.push(value[1..].to_vec());
             }
             // Then element-wise shrinks.
             for (i, item) in value.iter().enumerate() {

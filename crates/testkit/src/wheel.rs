@@ -315,7 +315,7 @@ impl<T> TimerWheel<T> {
                 let Some((bound, slot)) = self.nearest(l) else {
                     continue;
                 };
-                if best.map_or(true, |(b, _, _)| bound < b) {
+                if best.is_none_or(|(b, _, _)| bound < b) {
                     best = Some((bound, l, slot));
                 }
             }

@@ -22,18 +22,21 @@
 //! Everything printed on **stdout** is a function of virtual time only and
 //! is byte-identical across runs (`scripts/verify.sh --scale` diffs a
 //! double run); wall-clock tick costs and RSS go to **stderr**.
+//! `--json <path>` writes both sets of figures there, which
+//! `scripts/bench.sh --scale` gates and records as `BENCH_scale.json`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mirage::core::{Appliance, Library};
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
-use mirage::devices::{DriverDomain, Xenstore};
+use mirage::devices::{Backend, NetProfile};
 use mirage::hypervisor::toolstack::{BuildMode, DomainSpec, Toolstack};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
-use mirage::net::{idle_conn_bytes, Ipv4Addr, Mac, Stack, StackConfig, StackStats, TcpStream};
-use mirage::runtime::{Runtime, UnikernelGuest};
+use mirage::net::{idle_conn_bytes, Ipv4Addr, StackConfig, StackStats, TcpStream};
+use mirage_bench::netsim::World;
+use mirage_bench::obj;
+use mirage_bench::report::{rounded, write_json, Json};
 
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 80);
 
@@ -147,7 +150,8 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn c1m(conns: usize, hot: usize, clients: usize) {
+/// Runs the ramp and prints its summary; adds its figures to `result`.
+fn c1m(conns: usize, hot: usize, clients: usize, result: &mut Json) {
     let shared = Arc::new(Shared {
         established: AtomicU64::new(0),
         hot_responses: AtomicU64::new(0),
@@ -159,25 +163,21 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
         server_stats: Mutex::new(StackStats::default()),
     });
 
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::with_pcpus(8);
-    hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+    let mut world = World::new(8, NetProfile::default(), 1, Backend::XenRing, 1);
 
     // The appliance under load: one stack, one listener, a million table
     // entries. Idle handlers park their stream and exit, so live tasks
     // stay bounded by the in-flight batch plus the hot subset.
-    let (netf, nh) = Netfront::new(xs.clone(), "c1m-srv", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+    // Full batches from every client may be half-open at once; keep the
+    // stateful path primary (cookies still cover real floods).
+    let cfg = StackConfig::builder(SERVER_IP)
+        .listen_backlog(4096)
+        .build()
+        .expect("valid stack config");
     let sh = Arc::clone(&shared);
-    let mut server = UnikernelGuest::new(move |_env, rt: &Runtime| {
-        // Full batches from every client may be half-open at once; keep
-        // the stateful path primary (cookies still cover real floods).
-        let cfg = StackConfig::builder(SERVER_IP)
-            .listen_backlog(4096)
-            .build()
-            .expect("valid stack config");
-        let stack = Stack::spawn(rt, nh, cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
+    let nic = ("c1m-srv", 80);
+    world.guest("c1m-server", 2048, nic, cfg, move |stack, rt2| {
+        rt2.clone().spawn(async move {
             let mut listener = stack.tcp_listen(80).await.expect("port 80");
             // Stats monitor: publishes the stack's counters every 500us of
             // virtual time so the host side can read them between ticks.
@@ -203,8 +203,6 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
             }
         })
     });
-    server.add_device(Box::new(netf));
-    hv.create_domain("c1m-server", 2048, Box::new(server));
 
     // Client fleet: each domain owns one stack (16k ephemeral ports) and
     // ramps its share in small awaited batches. Domain 0 also drives the
@@ -213,12 +211,6 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
     let rem = conns % clients;
     for d in 0..clients {
         let name = format!("c1m-c{d}");
-        let (front, nh_c) = Netfront::new(
-            xs.clone(),
-            &name,
-            Mac::local(100 + d as u32).0,
-            CopyDiscipline::ZeroCopy,
-        );
         let ip = Ipv4Addr::new(10, 0, 0, (100 + d) as u8);
         // Domain 0's hot conns come out of its idle share: each stack has
         // 16,384 ephemeral ports (49152..), and a full 1/64 idle share plus
@@ -227,10 +219,9 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
         let my_hot = if d == 0 { hot } else { 0 };
         let my_conns = (per_dom + usize::from(d < rem)).saturating_sub(my_hot);
         let sh = Arc::clone(&shared);
-        let mut guest = UnikernelGuest::new(move |_env, rt: &Runtime| {
-            let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(ip));
-            let rt2 = rt.clone();
-            rt.spawn(async move {
+        let (nic, cfg) = ((name.as_str(), 100 + d as u32), StackConfig::static_ip(ip));
+        world.guest(&name, 64, nic, cfg, move |stack, rt2| {
+            rt2.clone().spawn(async move {
                 // Let the fabric come up, staggered so 64 domains don't
                 // ARP/SYN in lockstep.
                 rt2.sleep(Dur::millis(5) + Dur::micros(37 * d as u64)).await;
@@ -306,9 +297,8 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
                 0
             })
         });
-        guest.add_device(Box::new(front));
-        hv.create_domain(&name, 64, Box::new(guest));
     }
+    let mut hv = world.hv;
 
     // Drive the world a virtual millisecond at a time, sampling tick cost
     // once 10k connections are up and again at full scale.
@@ -377,22 +367,60 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
     println!("virtual time at full: {}", hv.now());
 
     // Wall-clock facts (stderr): real but machine-dependent.
+    let tick_ratio = full_wall / mid_wall.max(1.0);
     eprintln!(
         "[wall] quiet tick   : {:.0} ns/virtual-ms at {mid_conns} conns, {:.0} ns/virtual-ms at {full_conns} conns (x{:.2})",
-        mid_wall,
-        full_wall,
-        full_wall / mid_wall.max(1.0)
+        mid_wall, full_wall, tick_ratio
     );
-    if let Some(rss) = rss_bytes() {
+    let rss_per_conn = rss_bytes().map(|rss| {
+        let per_conn = rss as f64 / full_conns.max(1) as f64;
         eprintln!(
             "[wall] rss          : {} MiB total, {:.0} bytes/conn amortised",
             rss >> 20,
-            rss as f64 / full_conns.max(1) as f64
+            per_conn
         );
-    }
+        rounded(per_conn, 0) as i64
+    });
+
+    let window = |conns: u64, key: &str, value: Json| obj! { "conns" => conns, key => value };
+    result.push("connections_held", full_conns);
+    result.push("connections_client_side", established);
+    result.push(
+        "hot_subset",
+        obj! { "conns" => hot, "responses" => hot_resp },
+    );
+    result.push(
+        "accept_latency_us",
+        obj! {
+            "p50" => rounded(p50 as f64 / 1000.0, 1),
+            "p99" => rounded(p99 as f64 / 1000.0, 1),
+            "handshakes" => lats.len(),
+        },
+    );
+    result.push(
+        "bytes_per_idle_conn",
+        obj! { "stack_tables_audited" => idle_conn_bytes(), "rss_amortised" => rss_per_conn },
+    );
+    result.push(
+        "timer_polls_per_8ms",
+        obj! {
+            "mid" => window(mid_conns, "polls", mid_polls.into()),
+            "full" => window(full_conns, "polls", full_polls.into()),
+        },
+    );
+    let wall_ns = |ns: f64| Json::from(rounded(ns, 0) as i64);
+    result.push(
+        "quiet_tick_ns_per_virtual_ms",
+        obj! {
+            "mid" => window(mid_conns, "wall_ns", wall_ns(mid_wall)),
+            "full" => window(full_conns, "wall_ns", wall_ns(full_wall)),
+            "ratio" => rounded(tick_ratio, 2),
+        },
+    );
 }
 
-fn boot_storm(fleet: usize) {
+/// Boots the fleet and prints its summary; returns its figures.
+fn boot_storm(fleet: usize) -> Json {
     let mut hv = Hypervisor::with_pcpus(8);
     let ts = Toolstack::new(BuildMode::Parallel);
     let specs: Vec<DomainSpec> = (0..fleet)
@@ -434,18 +462,26 @@ fn boot_storm(fleet: usize) {
         assert!(hv.address_space(b.dom).is_sealed());
     }
 
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let (p50, p99, max) = (
+        ms(percentile(&ready, 0.50)),
+        ms(percentile(&ready, 0.99)),
+        ms(ready[ready.len() - 1]),
+    );
+    let ready_ms = storm_end.since(Time::ZERO).as_millis_f64();
     println!("== boot storm ==");
     println!("fleet               : {fleet} sealed DNS unikernels");
-    println!(
-        "boot latency        : p50 {:.1} ms, p99 {:.1} ms, max {:.1} ms",
-        percentile(&ready, 0.50) as f64 / 1e6,
-        percentile(&ready, 0.99) as f64 / 1e6,
-        ready[ready.len() - 1] as f64 / 1e6
-    );
-    println!(
-        "whole storm ready at: {:.1} ms of virtual time",
-        storm_end.since(Time::ZERO).as_millis_f64()
-    );
+    println!("boot latency        : p50 {p50:.1} ms, p99 {p99:.1} ms, max {max:.1} ms");
+    println!("whole storm ready at: {ready_ms:.1} ms of virtual time");
+    obj! {
+        "fleet" => fleet,
+        "boot_ms" => obj! {
+            "p50" => rounded(p50, 1),
+            "p99" => rounded(p99, 1),
+            "max" => rounded(max, 1),
+        },
+        "storm_ready_ms" => rounded(ready_ms, 1),
+    }
 }
 
 fn main() {
@@ -454,10 +490,12 @@ fn main() {
     let clients = env_usize("MIRAGE_C1M_CLIENTS", 64).clamp(1, 64);
     let storm = env_usize("MIRAGE_C1M_STORM", 1000);
 
+    let mut result = obj! { "scenario" => "c1m" };
     if conns > 0 {
-        c1m(conns, hot, clients);
+        c1m(conns, hot, clients, &mut result);
     }
     if storm > 0 {
-        boot_storm(storm);
+        result.push("boot_storm", boot_storm(storm));
     }
+    write_json(&result);
 }

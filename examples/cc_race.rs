@@ -4,9 +4,10 @@
 //! the algorithm a per-connection [`CongAlg`] choice; this scenario races
 //! the two implementations over identical conditioned links and reports
 //! goodput, retransmissions and a congestion-window trajectory for each
-//! grid cell. `scripts/bench.sh --cc` distils the output into
-//! `BENCH_cc.json`; `scripts/verify.sh --cc` double-runs it under fixed
-//! seeds and byte-diffs the stdout.
+//! grid cell. `--json <path>` writes the same figures there, which
+//! `scripts/bench.sh --cc` gates and records as `BENCH_cc.json`;
+//! `scripts/verify.sh --cc` double-runs it under fixed seeds and
+//! byte-diffs the stdout.
 //!
 //! ```text
 //! cargo run --release --example cc_race
@@ -14,8 +15,9 @@
 //!
 //! Knobs (all optional):
 //!
-//! * `MIRAGE_CC_SEED`  — netem decision seed            (default 42)
-//! * `MIRAGE_CC_BYTES` — payload bytes per transfer     (default 4 MiB)
+//! * `MIRAGE_TEST_SEED` — netem decision seed (default
+//!   [`mirage_testkit::DEFAULT_SEED`]; the recorded runs use 42)
+//! * `MIRAGE_CC_BYTES`  — payload bytes per transfer (default 4 MiB)
 //!
 //! Everything printed on **stdout** is a function of virtual time only and
 //! is byte-identical across same-seed runs.
@@ -27,6 +29,8 @@ use mirage::devices::{DriverDomain, Netem, NetemConfig, Xenstore};
 use mirage::hypervisor::{Dur, Hypervisor, RunOutcome, Time};
 use mirage::net::{tcp, Ipv4Addr, Mac, Stack, StackConfig};
 use mirage::runtime::UnikernelGuest;
+use mirage_bench::obj;
+use mirage_bench::report::{rounded, write_json};
 use mirage_testkit::sync::Mutex;
 
 const TX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -188,7 +192,7 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
         }
         assert!(
             outcome == RunOutcome::TimeLimit && hv.now() < deadline,
-            "[{cell}] transfer stalled at {:?}; reproduce with MIRAGE_CC_SEED={seed}",
+            "[{cell}] transfer stalled at {:?}; reproduce with MIRAGE_TEST_SEED={seed}",
             hv.now(),
         );
     }
@@ -212,16 +216,12 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
+fn main() {
+    let seed = mirage_testkit::test_seed();
+    let bytes = std::env::var("MIRAGE_CC_BYTES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn main() {
-    let seed = env_u64("MIRAGE_CC_SEED", 42);
-    let bytes = env_u64("MIRAGE_CC_BYTES", 4 * 1024 * 1024) as usize;
+        .unwrap_or(4 * 1024 * 1024);
 
     // The loss × delay grid: clean/lossy links at LAN and WAN-ish RTTs.
     // Cell names feed the netem seed fork, so every cell sees its own
@@ -238,8 +238,10 @@ fn main() {
     println!("== cc race ==");
     println!("seed     : {seed}");
     println!("transfer : {bytes} bytes per run");
+    let mut cells = obj! {};
     for &(cell, loss, delay) in grid {
         println!("cell {cell}");
+        let mut algs = obj! {};
         for alg in [tcp::CongAlg::NewReno, tcp::CongAlg::Cubic] {
             let cfg = NetemConfig {
                 drop: loss,
@@ -267,6 +269,32 @@ fn main() {
                 r.stats.rto_retransmits,
                 samples.join(" "),
             );
+            let trajectory: Vec<_> = r
+                .cwnd_trajectory
+                .iter()
+                .map(|&(ms, cwnd)| obj! { "ms" => ms, "cwnd_bytes" => cwnd })
+                .collect();
+            algs.push(
+                name,
+                obj! {
+                    "goodput_mbps" => rounded(goodput_mbps, 3),
+                    "elapsed_s" => rounded(secs, 3),
+                    "retransmits" => obj! {
+                        "total" => r.stats.total_retransmits(),
+                        "fast" => r.stats.fast_retransmits,
+                        "rto" => r.stats.rto_retransmits,
+                    },
+                    "cwnd_trajectory" => trajectory,
+                },
+            );
         }
+        cells.push(cell, algs);
     }
+
+    write_json(&obj! {
+        "scenario" => "cc_race",
+        "seed" => seed,
+        "transfer_bytes" => bytes,
+        "cells" => cells,
+    });
 }

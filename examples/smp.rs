@@ -16,10 +16,9 @@
 //! cargo run --release --example smp
 //! ```
 //!
-//! Knobs (all optional):
-//!
-//! * `MIRAGE_SMP_BYTES` — bytes per flow in the matrix   (default 200_000)
-//! * `MIRAGE_SMP_CONNS` — idle connections for the split (default 2048)
+//! `--json <path>` writes the matrix, the speedups and the per-core
+//! split there; `scripts/bench.sh --smp` gates and records it as
+//! `BENCH_smp.json`.
 //!
 //! Everything printed on **stdout** is a function of virtual time only
 //! and is byte-identical across runs (`scripts/verify.sh --smp` diffs a
@@ -30,25 +29,28 @@ use std::time::Instant;
 use mirage::baseline::netperf::TcpEndpoint;
 use mirage::hypervisor::Dur;
 use mirage_bench::netsim::{idle_smp, iperf_smp};
+use mirage_bench::obj;
+use mirage_bench::report::{rounded, write_json};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Bytes per flow in the matrix.
+const BYTES: usize = 200_000;
+/// Idle connections held for the per-core split.
+const CONNS: usize = 2048;
+/// Server width of the per-core split.
+const IDLE_VCPUS: usize = 4;
+/// Quiet window of the per-core split, virtual ms.
+const QUIET_MS: u64 = 64;
 
 fn main() {
-    let bytes = env_usize("MIRAGE_SMP_BYTES", 200_000);
-    let conns = env_usize("MIRAGE_SMP_CONNS", 2048);
+    println!("transfer   : {BYTES} bytes/flow");
 
-    println!("transfer   : {bytes} bytes/flow");
-
+    let mut matrix = obj! {};
     let mut saturating = Vec::new();
     for flows in [1usize, 16] {
+        let mut row = obj! {};
         for vcpus in [1usize, 2, 4, 8] {
             let t0 = Instant::now();
-            let r = iperf_smp(TcpEndpoint::Mirage, TcpEndpoint::Mirage, vcpus, flows, bytes);
+            let r = iperf_smp(TcpEndpoint::Mirage, TcpEndpoint::Mirage, vcpus, flows, BYTES);
             eprintln!(
                 "wall: cell flows={flows} vcpus={vcpus} took {:.2} s",
                 t0.elapsed().as_secs_f64()
@@ -57,10 +59,15 @@ fn main() {
                 "cell flows={flows:<2} vcpus={vcpus} : goodput {:.1} Mb/s ({} bytes)",
                 r.mbps, r.bytes
             );
+            row.push(
+                vcpus.to_string(),
+                obj! { "goodput_mbps" => rounded(r.mbps, 1), "bytes" => r.bytes },
+            );
             if flows == 16 {
                 saturating.push((vcpus, r.mbps));
             }
         }
+        matrix.push(format!("flows{flows}"), row);
     }
 
     let base = saturating
@@ -88,9 +95,13 @@ fn main() {
     // silent — the O(due work) claim holds per core, not just in
     // aggregate.
     let t0 = Instant::now();
-    let r = idle_smp(4, conns, Dur::millis(64));
+    let r = idle_smp(IDLE_VCPUS, CONNS, Dur::millis(QUIET_MS));
     eprintln!("wall: idle split took {:.2} s", t0.elapsed().as_secs_f64());
-    println!("idle split : {} conns held on 4 vcpus, 64 ms quiet window", r.established);
+    println!(
+        "idle split : {} conns held on {IDLE_VCPUS} vcpus, {QUIET_MS} ms quiet window",
+        r.established
+    );
+    let mut per_core = Vec::new();
     for (core, (held, polls)) in r
         .conns_per_core
         .iter()
@@ -98,5 +109,23 @@ fn main() {
         .enumerate()
     {
         println!("  core {core}   : conns {held:>5}, quiet timer polls {polls}");
+        per_core.push(obj! { "core" => core, "conns" => *held, "quiet_polls" => *polls });
     }
+
+    write_json(&obj! {
+        "scenario" => "smp",
+        "bytes_per_flow" => BYTES,
+        "matrix" => matrix,
+        "speedup_16flows" => obj! {
+            "x2" => rounded(speedup(2), 2),
+            "x4" => rounded(speedup(4), 2),
+            "x8" => rounded(speedup(8), 2),
+        },
+        "idle_split" => obj! {
+            "conns" => r.established,
+            "vcpus" => IDLE_VCPUS,
+            "quiet_ms" => QUIET_MS,
+            "per_core" => per_core,
+        },
+    });
 }

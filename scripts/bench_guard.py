@@ -4,14 +4,16 @@
 scripts/bench.sh writes every freshly-measured result to a candidate file
 and asks this guard to install it. The guard compares the candidate's
 *gated* metrics against the checked-in file and refuses the overwrite if
-any would regress — so a bench run can never silently replace a good
-recorded number with a worse one. (The absolute gates in bench.sh still
-apply first; this is the relative, monotone check on top.)
+any would regress or is missing from the candidate — so a bench run can
+never silently replace a good recorded number with a worse one, or drop
+it. (The absolute gates in bench.sh still apply first; this is the
+relative, monotone check on top.)
 
 Usage: bench_guard.py <checked-in path> <candidate path>
 
 Installs the candidate over the checked-in file on success; exits
-nonzero and leaves the checked-in file untouched on regression.
+nonzero and leaves the checked-in file untouched on regression, naming
+each regressed or missing metric by its dotted path.
 
 Only virtual-time-derived (deterministic) metrics are guarded; wall-clock
 figures jitter and are covered by the absolute gates alone. Each metric
@@ -28,12 +30,7 @@ import sys
 
 def get(node, path):
     for key in path:
-        if isinstance(node, dict):
-            node = node.get(key)
-        elif isinstance(node, list) and isinstance(key, int) and key < len(node):
-            node = node[key]
-        else:
-            return None
+        node = node.get(key) if isinstance(node, dict) else None
     return node
 
 
@@ -85,18 +82,20 @@ def main():
         failures = []
         for path, higher_better, slack in gates_for(name, old):
             old_v, new_v = get(old, path), get(new, path)
-            if old_v is None or new_v is None:
+            if old_v is None:
                 continue
-            if higher_better:
+            if new_v is None:
+                ok = False
+            elif higher_better:
                 ok = new_v >= old_v * (1.0 - slack)
             else:
                 ok = new_v <= old_v * (1.0 + slack)
             if not ok:
                 dotted = ".".join(str(p) for p in path)
-                failures.append(f"  {dotted}: {old_v} -> {new_v}")
+                failures.append(f"  {dotted}: {old_v} -> {'missing' if new_v is None else new_v}")
         if failures:
             print(f"FAIL: refusing to overwrite {checked_in} — gated metrics regress "
-                  f"versus the checked-in file:", file=sys.stderr)
+                  f"or are missing versus the checked-in file:", file=sys.stderr)
             for line in failures:
                 print(line, file=sys.stderr)
             print("(fix the regression, or delete the checked-in file to accept it)",

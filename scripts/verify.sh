@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify for mirage-rs: offline build + test, dependency gate,
-# and example smoke tests. Run from anywhere; operates on the repo root.
+# clippy gate, bench-guard self-check and example smoke tests. Run from
+# anywhere; operates on the repo root.
 #
-#   scripts/verify.sh                # build, test, gate, examples
+#   scripts/verify.sh                # build, test, gates, examples
 #   scripts/verify.sh --determinism  # additionally run the seeded
 #                                    # double-test-run determinism check
 #   scripts/verify.sh --bench        # additionally run scripts/bench.sh
@@ -16,8 +17,9 @@
 #                                    # run diffed
 #   scripts/verify.sh --cc           # additionally race NewReno vs CUBIC
 #                                    # (examples/cc_race, reduced 1 MiB
-#                                    # transfers) under ten fixed seeds,
-#                                    # plus a same-seed double run diffed,
+#                                    # transfers) under ten fixed
+#                                    # MIRAGE_TEST_SEEDs, plus a same-seed
+#                                    # double run diffed,
 #                                    # then the full-size gated
 #                                    # BENCH_cc.json via scripts/bench.sh
 #   scripts/verify.sh --scale        # additionally run the C1M scale
@@ -79,6 +81,21 @@ echo "   ok"
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets
 
+echo "== gate: clippy, warnings denied"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== gate: bench guard refuses a candidate missing a gated metric"
+guard_tmp="$(mktemp -d)"
+cp BENCH_smp.json "$guard_tmp/"
+jq 'del(.speedup_16flows)' BENCH_smp.json > "$guard_tmp/candidate.json"
+if python3 scripts/bench_guard.py "$guard_tmp/BENCH_smp.json" "$guard_tmp/candidate.json" \
+    2> /dev/null; then
+    echo "FAIL: bench_guard.py installed a candidate without speedup_16flows" >&2
+    exit 1
+fi
+rm -rf "$guard_tmp"
+echo "   ok"
+
 echo "== test (offline)"
 cargo test -q --offline --workspace
 
@@ -109,11 +126,8 @@ if want --bench "$@"; then
     scripts/bench.sh
     # The ablation bench already asserts the budget internally; re-check
     # the recorded number so a stale/edited JSON can't mask a regression.
-    copies_per_byte="$(jq -r \
-        '.benches.micro_zerocopy.http_static_path.copied_bytes_per_delivered_byte' \
-        BENCH_net.json)"
-    echo "   copied bytes per delivered byte: $copies_per_byte"
-    awk -v c="$copies_per_byte" 'BEGIN { exit !(c != "null" && c <= 1.0) }' || {
+    jq -e '.benches.micro_zerocopy.http_static_path.copied_bytes_per_delivered_byte
+        | 0 <= . and . <= 1' BENCH_net.json > /dev/null || {
         echo "FAIL: HTTP static path exceeds one software copy per delivered byte" >&2
         exit 1
     }
@@ -133,44 +147,45 @@ same_twice() {
     diff "/tmp/mirage-$name-run1" "/tmp/mirage-$name-run2"
 }
 
-# The output of a test run under seed $1 (remaining args go to
-# `cargo test`), with per-run timings stripped.
-test_output() {
+# The output (stderr included, per-run timings stripped) of the command
+# "${@:2}" run under MIRAGE_TEST_SEED=$1.
+seeded() {
     local seed="$1"
     shift
-    MIRAGE_TEST_SEED="$seed" cargo test -q --offline "$@" 2>&1 | norm
+    MIRAGE_TEST_SEED="$seed" "$@" 2>&1 | norm
 }
 
-# Runs integration test suite $1 under ten fixed seeds, then twice under
-# one seed with diffed output.
-seeded_suite() {
-    local suite="$1"
-    echo "== $suite: suite under ten fixed seeds"
+# Runs the command "${@:2}" under ten fixed seeds, then twice under one
+# seed with diffed output; $1 names the check.
+seed_loop() {
+    local name="$1"
+    shift
+    echo "== $name: ten fixed seeds"
     for seed in 1 2 3 5 8 13 42 97 1337 4242; do
         echo "   -- seed $seed"
-        MIRAGE_TEST_SEED="$seed" cargo test -q --offline --test "$suite" > /dev/null
+        MIRAGE_TEST_SEED="$seed" "$@" > /dev/null
     done
-    echo "== $suite: two same-seed runs must print identical output"
+    echo "== $name: two same-seed runs must print identical output"
     local seed="${MIRAGE_TEST_SEED:-42}"
-    same_twice "$suite" test_output "$seed" --test "$suite"
+    same_twice "$name" seeded "$seed" "$@"
     echo "   ok (seed $seed)"
 }
 
 if want --chaos "$@"; then
     mark
-    seeded_suite chaos
+    seed_loop chaos cargo test -q --offline --test chaos
     lap chaos
 fi
 
 if want --adversarial "$@"; then
     mark
-    seeded_suite adversarial
+    seed_loop adversarial cargo test -q --offline --test adversarial
     lap adversarial
 fi
 
 if want --conformance "$@"; then
     mark
-    seeded_suite conformance
+    seed_loop conformance cargo test -q --offline --test conformance
     echo "== conformance: backend parity figures -> BENCH_virtio.json (gated)"
     scripts/bench.sh --virtio
     lap conformance
@@ -178,18 +193,9 @@ fi
 
 if want --cc "$@"; then
     mark
-    echo "== cc: congestion-control race under ten fixed seeds (1 MiB transfers)"
+    echo "== cc: congestion-control race (examples/cc_race, 1 MiB transfers)"
     cargo build --release --offline --example cc_race
-    for seed in 1 2 3 5 8 13 42 97 1337 4242; do
-        echo "   -- seed $seed"
-        MIRAGE_CC_SEED="$seed" MIRAGE_CC_BYTES=1048576 \
-            ./target/release/examples/cc_race > /dev/null
-    done
-    echo "== cc: two same-seed runs must print identical stdout"
-    seed="${MIRAGE_CC_SEED:-42}"
-    same_twice cc env MIRAGE_CC_SEED="$seed" MIRAGE_CC_BYTES=1048576 \
-        ./target/release/examples/cc_race
-    echo "   ok (seed $seed, byte-identical)"
+    seed_loop cc env MIRAGE_CC_BYTES=1048576 ./target/release/examples/cc_race
     echo "== cc: full-size race -> BENCH_cc.json (gated)"
     scripts/bench.sh --cc
     lap cc
@@ -225,7 +231,7 @@ if want --determinism "$@"; then
     mark
     echo "== determinism: two test runs under one seed must be identical"
     seed="${MIRAGE_TEST_SEED:-42}"
-    same_twice verify test_output "$seed" --workspace
+    same_twice verify seeded "$seed" cargo test -q --offline --workspace
     echo "   ok (seed $seed)"
     lap determinism
 fi

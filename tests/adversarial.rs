@@ -138,7 +138,7 @@ fn flood_rig() -> FloodRig {
         let stack = Stack::spawn(rt, nh_s, cfg);
         let sampler_stack = stack.clone();
         let rt_sample = rt.clone();
-        let _ = rt.spawn(async move {
+        rt.spawn(async move {
             loop {
                 rt_sample.sleep(Dur::millis(10)).await;
                 if let Ok(s) = sampler_stack.stack_stats().await {

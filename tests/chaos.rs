@@ -98,7 +98,7 @@ fn run_lossy_tcp(seed: u64, cell: &'static str, cfg: NetemConfig, bytes: usize) 
 
     // Receiver: accept, read the payload, send a 1-byte receipt, then
     // count anything delivered beyond the expected length.
-    let rx_result: Arc<Mutex<Option<(Vec<u8>, u64)>>> = Arc::new(Mutex::new(None));
+    let rx_result = Arc::new(Mutex::new(None::<(Vec<u8>, u64)>));
     let rx_out = Arc::clone(&rx_result);
     let (front_rx, nh_rx) =
         Netfront::new(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
@@ -487,18 +487,13 @@ fn dns_resolves_through_a_partition_that_heals() {
                 // Drain replies until the current attempt's answer shows
                 // up or the link goes quiet; stale answers to queries that
                 // were queued behind the partition are skipped.
-                loop {
-                    match rt2
-                        .timeout(Dur::millis(20), Box::pin(sock.recv_from()))
-                        .await
-                    {
-                        Ok(Ok((_, _, wire))) => {
-                            let r = Message::parse(&wire).unwrap();
-                            if r.id == attempts as u16 {
-                                break 'resolve r;
-                            }
-                        }
-                        _ => break,
+                while let Ok(Ok((_, _, wire))) = rt2
+                    .timeout(Dur::millis(20), Box::pin(sock.recv_from()))
+                    .await
+                {
+                    let r = Message::parse(&wire).unwrap();
+                    if r.id == attempts as u16 {
+                        break 'resolve r;
                     }
                 }
             };

@@ -132,7 +132,7 @@ fn http_session(backend: Backend, seed: u64) -> (String, f64) {
                     })
                 });
             let listener = stack.tcp_listen(80).await.expect("port 80");
-            HttpServer::new(Router::from(router)).serve(rt2, listener).await
+            HttpServer::new(router).serve(rt2, listener).await
         })
     });
     appliance.add_device(netf);
@@ -337,7 +337,7 @@ fn lossy_transfer(backend: Backend, seed: u64, cell: &'static str, cfg: NetemCon
     let tx_cfg = StackConfig::builder(TX_IP).tcp(tcp_cfg).build().unwrap();
     let payload = Arc::new(pattern(BYTES));
 
-    let rx_result: Arc<Mutex<Option<(Vec<u8>, u64)>>> = Arc::new(Mutex::new(None));
+    let rx_result = Arc::new(Mutex::new(None::<(Vec<u8>, u64)>));
     let rx_out = Arc::clone(&rx_result);
     let (front_rx, nh_rx) = backend.net(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
     let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
@@ -468,7 +468,7 @@ fn chaos_loss_reorder_grid_matches_across_backends() {
         assert_transcripts_match(cell, seed, &xen, &vio);
         if drop > 0.0 {
             assert!(
-                xen.contains("netem_dropped=0") == false,
+                !xen.contains("netem_dropped=0"),
                 "[{cell}] the loss schedule actually fired: {xen}; \
                  reproduce with MIRAGE_TEST_SEED={seed}"
             );

@@ -167,7 +167,7 @@ fn ping_world(
     let mut hv = Hypervisor::new();
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-    let result: Arc<Mutex<Option<(Option<Dur>, Dur)>>> = Arc::new(Mutex::new(None));
+    let result = Arc::new(Mutex::new(None::<(Option<Dur>, Dur)>));
 
     let (netf_b, nh_b) = Netfront::new(xs.clone(), "ping-b", Mac::local(2).0, CopyDiscipline::ZeroCopy);
     let mut responder = UnikernelGuest::new(move |_env, rt: &Runtime| {
