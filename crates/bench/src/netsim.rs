@@ -6,8 +6,10 @@
 
 use mirage_baseline::netperf::{TcpEndpoint, MSS};
 use mirage_devices::netfront::CopyDiscipline;
-use mirage_devices::{Backend, DriverDomain, NetProfile, Xenstore};
-use mirage_hypervisor::{DomainId, Dur, Hypervisor, Time};
+use mirage_devices::{
+    Backend, DriverDomain, DriverStats, NetProfile, Netem, NetemConfig, NetemStats, Xenstore,
+};
+use mirage_hypervisor::{DomainId, Dur, Hypervisor, RunOutcome, Time};
 use mirage_net::{Ipv4Addr, Mac, Stack, StackConfig};
 use mirage_runtime::channel::JoinHandle;
 use mirage_runtime::{Runtime, UnikernelGuest};
@@ -270,6 +272,180 @@ fn run_iperf(
     IperfResult {
         mbps: total_expected as f64 * 8.0 / elapsed.as_secs_f64() / 1e6,
         bytes: total_expected,
+    }
+}
+
+/// Everything one conditioned bulk transfer ([`lossy_transfer`]) produces.
+pub struct LossyReport {
+    /// Bytes the receiver accepted before sending its receipt.
+    pub received: Vec<u8>,
+    /// Bytes delivered beyond the expected payload (duplicate delivery).
+    pub extra_bytes: u64,
+    /// Sender-side connection counters, snapshotted before close.
+    pub sender: mirage_net::tcp::TcpStats,
+    /// The conditioner's fault counters and decision schedule.
+    pub netem: NetemStats,
+    /// Switch-level counters (drop reasons, blk faults).
+    pub driver: DriverStats,
+}
+
+/// The payload [`lossy_transfer`] sends: a byte pattern, so corruption or
+/// duplication shows up as a byte-level mismatch, not just a length error.
+pub fn lossy_payload(bytes: usize) -> Vec<u8> {
+    (0..bytes).map(|i| ((i * 31 + 7) & 0xFF) as u8).collect()
+}
+
+/// Runs one `bytes`-long TCP bulk transfer from guest `lossy-tx` to guest
+/// `lossy-rx`, each with one NIC over `backend`, through a switch
+/// conditioned by `cfg` whose fault schedule is seeded from
+/// `(seed, cell)`. The receiver answers the payload with a one-byte
+/// receipt; both guests then park, so a frame lost during teardown is
+/// still retransmitted.
+///
+/// # Panics
+///
+/// If the transfer stalls or takes more than 300 s of virtual time; the
+/// message names the cell and the seed that reproduces it.
+pub fn lossy_transfer(
+    backend: Backend,
+    seed: u64,
+    cell: &str,
+    cfg: NetemConfig,
+    bytes: usize,
+) -> LossyReport {
+    use mirage_testkit::sync::Mutex;
+    use std::sync::Arc;
+
+    let xs = Xenstore::new();
+    let mut hv = Hypervisor::new();
+    hv.set_step_budget(400_000_000);
+
+    let mut dom0 = DriverDomain::new(xs.clone());
+    let netem = Netem::from_seed(cfg, seed, cell);
+    let nstats = netem.stats_handle();
+    dom0.set_netem(netem);
+    let dstats = dom0.stats_handle();
+    hv.create_domain("dom0", 512, Box::new(dom0));
+
+    // Bound the advertised window so in-flight data respects the switch
+    // queueing budget (as the iperf harness does), and cap the RTO so a
+    // 20%-loss cell backs off on a test-sized timescale instead of
+    // production TCP's 60 s ceiling.
+    let tcp_cfg = mirage_net::tcp::TcpConfig::builder()
+        .recv_buf(64 * 1024)
+        .rto_max(Dur::secs(2))
+        .build()
+        .expect("valid tcp config");
+    let stack_cfg = |ip| {
+        StackConfig::builder(ip)
+            .tcp(tcp_cfg.clone())
+            .build()
+            .expect("valid stack config")
+    };
+    let (rx_cfg, tx_cfg) = (stack_cfg(RX_IP), stack_cfg(TX_IP));
+
+    // Receiver: accept, read the payload, send a 1-byte receipt, then
+    // count anything delivered beyond the expected length.
+    let rx_result = Arc::new(Mutex::new(None::<(Vec<u8>, u64)>));
+    let rx_out = Arc::clone(&rx_result);
+    let (front_rx, nh_rx) =
+        backend.net(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
+    let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
+        let stack = Stack::spawn(rt, nh_rx, rx_cfg);
+        let rt2 = rt.clone();
+        rt.spawn(async move {
+            let mut listener = stack.tcp_listen(5001).await.unwrap();
+            let mut stream = listener.accept().await.unwrap();
+            let mut got: Vec<u8> = Vec::new();
+            while got.len() < bytes {
+                match stream.read().await {
+                    Some(chunk) => got.extend_from_slice(&chunk),
+                    None => break,
+                }
+            }
+            stream.write(b"K");
+            let extra = stream.read_to_end().await.len() as u64;
+            *rx_out.lock() = Some((got, extra));
+            // Park instead of exiting: a dead domain takes its stack (and
+            // its retransmissions) with it, which would re-lose any frame
+            // netem drops during teardown.
+            loop {
+                rt2.sleep(Dur::secs(60)).await;
+            }
+        })
+    });
+    rx_guest.add_device(front_rx);
+    hv.create_domain("lossy-rx", 128, Box::new(rx_guest));
+
+    // Sender: connect (retrying through SYN loss), stream the payload,
+    // await the receipt, snapshot stats while the connection still exists.
+    let tx_result = Arc::new(Mutex::new(None::<mirage_net::tcp::TcpStats>));
+    let tx_out = Arc::clone(&tx_result);
+    let payload = lossy_payload(bytes);
+    let (front_tx, nh_tx) =
+        backend.net(xs.clone(), "tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
+    let mut tx_guest = UnikernelGuest::new(move |_env, rt| {
+        let stack = Stack::spawn(rt, nh_tx, tx_cfg);
+        let rt2 = rt.clone();
+        rt.spawn(async move {
+            rt2.sleep(Dur::millis(5)).await;
+            let mut stream = loop {
+                match stack.tcp_connect(RX_IP, 5001).await {
+                    Ok(s) => break s,
+                    Err(_) => rt2.sleep(Dur::millis(50)).await,
+                }
+            };
+            for chunk in payload.chunks(16 * 1024) {
+                stream.write(chunk);
+                rt2.yield_now().await;
+            }
+            let mut receipt: Vec<u8> = Vec::new();
+            while receipt.is_empty() {
+                match stream.read().await {
+                    Some(chunk) => receipt.extend_from_slice(&chunk),
+                    None => break,
+                }
+            }
+            let stats = stream.stats().await.expect("stats before close");
+            *tx_out.lock() = Some(stats);
+            stream.close();
+            // Park: keep the stack alive so the FIN survives being lost.
+            loop {
+                rt2.sleep(Dur::secs(60)).await;
+            }
+        })
+    });
+    tx_guest.add_device(front_tx);
+    hv.create_domain("lossy-tx", 128, Box::new(tx_guest));
+
+    // Run in slices until both sides report (the guests deliberately
+    // never exit), bounding total virtual time.
+    let deadline = Time::ZERO + Dur::secs(300);
+    loop {
+        let outcome = hv.run_until(hv.now() + Dur::millis(100));
+        if rx_result.lock().is_some() && tx_result.lock().is_some() {
+            break;
+        }
+        assert!(
+            outcome == RunOutcome::TimeLimit && hv.now() < deadline,
+            "[{cell}/{backend}] transfer stalled (outcome {outcome:?} at {:?}, netem {:?}, \
+             driver {:?}); reproduce with MIRAGE_TEST_SEED={seed}",
+            hv.now(),
+            nstats.lock().clone(),
+            *dstats.lock(),
+        );
+    }
+
+    let (received, extra_bytes) = rx_result.lock().take().expect("receiver reported");
+    let sender = tx_result.lock().take().expect("sender reported");
+    let netem = nstats.lock().clone();
+    let driver = *dstats.lock();
+    LossyReport {
+        received,
+        extra_bytes,
+        sender,
+        netem,
+        driver,
     }
 }
 

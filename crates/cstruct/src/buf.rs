@@ -1,36 +1,14 @@
-//! Zero-copy views over I/O pages.
+//! I/O pages under construction.
 //!
 //! A [`BufMut`] is an exclusively-owned page being filled in (a packet under
-//! construction, a block about to be written). Freezing it yields a [`Buf`]:
-//! an immutable, reference-counted *view* that can be split into sub-views
-//! without copying — the paper's `Cstruct.sub` (§3.4.1). A [`BufList`] is a
-//! scatter-gather sequence of views, the unit the network stack hands to the
-//! transmit ring (Figure 4).
+//! construction, a block about to be written). Freezing it yields a
+//! [`PktBuf`]: an immutable, reference-counted view that can be split into
+//! sub-views without copying (§3.4.1).
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::pool::PoolRef;
-use crate::{BigEndian, Endian, LittleEndian};
-
-struct PageShared {
-    data: Option<Box<[u8]>>,
-    pool: PoolRef,
-}
-
-impl Drop for PageShared {
-    fn drop(&mut self) {
-        if let (Some(page), Some(pool)) = (self.data.take(), self.pool.upgrade()) {
-            pool.recycle(page);
-        }
-    }
-}
-
-impl PageShared {
-    fn bytes(&self) -> &[u8] {
-        self.data.as_deref().expect("page present until drop")
-    }
-}
+use crate::PktBuf;
 
 /// An exclusively-owned, writable I/O page.
 ///
@@ -41,6 +19,9 @@ pub struct BufMut {
     page: Box<[u8]>,
     pool: PoolRef,
     len: usize,
+    /// Length of the prefix that may have been written: what recycling
+    /// zeroes.
+    dirty: usize,
 }
 
 impl fmt::Debug for BufMut {
@@ -55,12 +36,19 @@ impl fmt::Debug for BufMut {
 impl BufMut {
     pub(crate) fn from_page(page: Box<[u8]>, pool: PoolRef) -> Self {
         let len = page.len();
-        BufMut { page, pool, len }
+        BufMut {
+            page,
+            pool,
+            len,
+            dirty: 0,
+        }
     }
 
-    /// Full writable contents of the page.
+    /// Writable contents of the exposed extent: the whole page until
+    /// [`BufMut::truncate`] narrows it.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.page
+        self.dirty = self.dirty.max(self.len);
+        &mut self.page[..self.len]
     }
 
     /// Read-only contents.
@@ -103,25 +91,15 @@ impl BufMut {
         let end = offset + src.len();
         assert!(end <= self.page.len(), "write beyond page capacity");
         self.page[offset..end].copy_from_slice(src);
-        if end > self.len {
-            self.len = end;
-        }
+        self.len = self.len.max(end);
+        self.dirty = self.dirty.max(end);
     }
 
     /// Seals the page and returns an immutable view over the exposed extent.
-    pub fn freeze(mut self) -> Buf {
-        let len = self.len;
+    pub fn freeze(mut self) -> PktBuf {
         let page = std::mem::take(&mut self.page);
         let pool = std::mem::replace(&mut self.pool, PoolRef::new());
-        let shared = Arc::new(PageShared {
-            data: Some(page),
-            pool,
-        });
-        Buf {
-            page: shared,
-            off: 0,
-            len,
-        }
+        PktBuf::adopt(page, pool, self.len, self.dirty)
     }
 }
 
@@ -133,281 +111,9 @@ impl Drop for BufMut {
         if let Some(pool) = self.pool.upgrade() {
             let page = std::mem::take(&mut self.page);
             if page.len() == crate::PAGE_SIZE {
-                pool.recycle(page);
+                pool.recycle(page, self.dirty);
             }
         }
-    }
-}
-
-/// An immutable, reference-counted view over (part of) an I/O page.
-///
-/// Splitting produces further views over the same page with no copying; the
-/// page returns to its pool when the last view drops. Equality and hashing
-/// are by byte content, so protocol tests can compare packets structurally.
-///
-/// # Example
-///
-/// ```
-/// use mirage_cstruct::PagePool;
-///
-/// let pool = PagePool::new(1);
-/// let mut page = pool.alloc()?;
-/// page.write_at(0, b"headerpayload");
-/// page.truncate(13);
-/// let buf = page.freeze();
-/// let (hdr, payload) = buf.split_at(6);
-/// assert_eq!(hdr.as_slice(), b"header");
-/// assert_eq!(payload.as_slice(), b"payload");
-/// # Ok::<(), mirage_cstruct::PoolExhausted>(())
-/// ```
-#[derive(Clone)]
-pub struct Buf {
-    page: Arc<PageShared>,
-    off: usize,
-    len: usize,
-}
-
-impl fmt::Debug for Buf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Buf[{} bytes @ {}]", self.len, self.off)
-    }
-}
-
-impl PartialEq for Buf {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Buf {}
-
-impl std::hash::Hash for Buf {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl AsRef<[u8]> for Buf {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl Buf {
-    /// Builds a view by copying `data` into a standalone (pool-less) page.
-    ///
-    /// Used at system edges (test vectors, config blobs); the hot paths use
-    /// pool pages instead.
-    pub fn copy_from_slice(data: &[u8]) -> Buf {
-        let shared = Arc::new(PageShared {
-            data: Some(data.to_vec().into_boxed_slice()),
-            pool: PoolRef::new(),
-        });
-        Buf {
-            page: shared,
-            off: 0,
-            len: data.len(),
-        }
-    }
-
-    /// An empty view.
-    pub fn empty() -> Buf {
-        Buf::copy_from_slice(&[])
-    }
-
-    /// Adopts an already-allocated vector as a standalone (pool-less) page
-    /// without copying its bytes.
-    pub fn from_vec(data: Vec<u8>) -> Buf {
-        let len = data.len();
-        let shared = Arc::new(PageShared {
-            data: Some(data.into_boxed_slice()),
-            pool: PoolRef::new(),
-        });
-        Buf {
-            page: shared,
-            off: 0,
-            len,
-        }
-    }
-
-    /// The bytes this view covers.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.page.bytes()[self.off..self.off + self.len]
-    }
-
-    /// Length of the view in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sub-view of `len` bytes starting at `off` — the paper's
-    /// `Cstruct.sub`, sharing the same page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `off + len` exceeds this view's length.
-    pub fn sub(&self, off: usize, len: usize) -> Buf {
-        assert!(off + len <= self.len, "sub-view out of bounds");
-        Buf {
-            page: Arc::clone(&self.page),
-            off: self.off + off,
-            len,
-        }
-    }
-
-    /// Splits into `[0, mid)` and `[mid, len)` views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mid > len`.
-    pub fn split_at(&self, mid: usize) -> (Buf, Buf) {
-        (self.sub(0, mid), self.sub(mid, self.len - mid))
-    }
-
-    /// Drops the first `n` bytes, returning the remainder as a view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len`.
-    pub fn skip(&self, n: usize) -> Buf {
-        self.sub(n, self.len - n)
-    }
-
-    /// Reads a big-endian `u16` at `off` (convenience for header parsing).
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn be16(&self, off: usize) -> u16 {
-        BigEndian::read(&self.as_slice()[off..off + 2]) as u16
-    }
-
-    /// Reads a big-endian `u32` at `off`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn be32(&self, off: usize) -> u32 {
-        BigEndian::read(&self.as_slice()[off..off + 4]) as u32
-    }
-
-    /// Reads a little-endian `u32` at `off`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn le32(&self, off: usize) -> u32 {
-        LittleEndian::read(&self.as_slice()[off..off + 4]) as u32
-    }
-
-    /// Number of views (including this one) sharing the underlying page.
-    pub fn view_count(&self) -> usize {
-        Arc::strong_count(&self.page)
-    }
-}
-
-/// A scatter-gather list of views — one logical datagram assembled from a
-/// header page plus payload fragments (paper §3.5.1 "scatter-gather I/O").
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BufList {
-    parts: Vec<Buf>,
-}
-
-impl BufList {
-    /// An empty list.
-    pub fn new() -> BufList {
-        BufList::default()
-    }
-
-    /// Single-fragment list.
-    pub fn from_buf(buf: Buf) -> BufList {
-        BufList { parts: vec![buf] }
-    }
-
-    /// Appends a fragment.
-    pub fn push(&mut self, buf: Buf) {
-        if !buf.is_empty() {
-            self.parts.push(buf);
-        }
-    }
-
-    /// Prepends a fragment (headers are prepended in the transmit path).
-    pub fn push_front(&mut self, buf: Buf) {
-        if !buf.is_empty() {
-            self.parts.insert(0, buf);
-        }
-    }
-
-    /// Total byte length across fragments.
-    pub fn len(&self) -> usize {
-        self.parts.iter().map(Buf::len).sum()
-    }
-
-    /// Whether the list carries no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Iterates over the fragments.
-    pub fn iter(&self) -> std::slice::Iter<'_, Buf> {
-        self.parts.iter()
-    }
-
-    /// Flattens into one contiguous byte vector — **copies**; only the
-    /// conventional-OS baseline and the tests use this, never the unikernel
-    /// fast path (that is the point of the paper's Figure 4).
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        for part in &self.parts {
-            out.extend_from_slice(part.as_slice());
-        }
-        out
-    }
-}
-
-impl FromIterator<Buf> for BufList {
-    fn from_iter<T: IntoIterator<Item = Buf>>(iter: T) -> Self {
-        let mut list = BufList::new();
-        for buf in iter {
-            list.push(buf);
-        }
-        list
-    }
-}
-
-impl Extend<Buf> for BufList {
-    fn extend<T: IntoIterator<Item = Buf>>(&mut self, iter: T) {
-        for buf in iter {
-            self.push(buf);
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a BufList {
-    type Item = &'a Buf;
-    type IntoIter = std::slice::Iter<'a, Buf>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.parts.iter()
-    }
-}
-
-impl IntoIterator for BufList {
-    type Item = Buf;
-    type IntoIter = std::vec::IntoIter<Buf>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.parts.into_iter()
     }
 }
 
@@ -417,8 +123,8 @@ mod tests {
     use crate::PagePool;
     use mirage_testkit::prop::{any, collection};
 
-    fn make_buf(data: &[u8]) -> Buf {
-        Buf::copy_from_slice(data)
+    fn make_buf(data: &[u8]) -> PktBuf {
+        PktBuf::from_vec(data.to_vec())
     }
 
     #[test]
@@ -428,8 +134,8 @@ mod tests {
         page.write_at(0, &[1, 2, 3, 4, 5, 6, 7, 8]);
         page.truncate(8);
         let buf = page.freeze();
-        let a = buf.sub(0, 4);
-        let b = buf.sub(4, 4);
+        let a = buf.slice(0..4);
+        let b = buf.slice(4..8);
         assert_eq!(a.as_slice(), &[1, 2, 3, 4]);
         assert_eq!(b.as_slice(), &[5, 6, 7, 8]);
         assert_eq!(buf.view_count(), 3);
@@ -469,51 +175,22 @@ mod tests {
     #[test]
     fn skip_drops_prefix() {
         let buf = make_buf(b"headerbody");
-        assert_eq!(buf.skip(6).as_slice(), b"body");
+        assert_eq!(buf.slice(6..).as_slice(), b"body");
     }
 
     #[test]
-    #[should_panic(expected = "sub-view out of bounds")]
+    #[should_panic(expected = "slice out of bounds")]
     fn sub_out_of_bounds_panics() {
         let buf = make_buf(b"tiny");
-        let _ = buf.sub(2, 10);
-    }
-
-    #[test]
-    fn buflist_scatter_gather_assembly() {
-        let mut list = BufList::new();
-        list.push(make_buf(b"payload"));
-        list.push_front(make_buf(b"tcp|"));
-        list.push_front(make_buf(b"ip|"));
-        list.push_front(make_buf(b"eth|"));
-        assert_eq!(list.fragment_count(), 4);
-        assert_eq!(list.to_vec(), b"eth|ip|tcp|payload");
-        assert_eq!(list.len(), 18);
-    }
-
-    #[test]
-    fn buflist_skips_empty_fragments() {
-        let mut list = BufList::new();
-        list.push(Buf::empty());
-        list.push(make_buf(b"x"));
-        list.push_front(Buf::empty());
-        assert_eq!(list.fragment_count(), 1);
-    }
-
-    #[test]
-    fn endian_helpers_parse_headers() {
-        let buf = make_buf(&[0x12, 0x34, 0xAA, 0xBB, 0xCC, 0xDD]);
-        assert_eq!(buf.be16(0), 0x1234);
-        assert_eq!(buf.be32(2), 0xAABB_CCDD);
-        assert_eq!(buf.le32(2), 0xDDCC_BBAA);
+        let _ = buf.slice(2..12);
     }
 
     mirage_testkit::property! {
-        /// The view algebra: any chain of in-bounds sub() calls observes
+        /// The view algebra: any chain of in-bounds slice() calls observes
         /// exactly the bytes of the corresponding slice range.
         fn prop_sub_matches_slice(data in collection::vec(any::<u8>(), 1..256),
                                   cuts in collection::vec((0usize..256, 0usize..256), 0..8)) {
-            let buf = Buf::copy_from_slice(&data);
+            let buf = make_buf(&data);
             let mut view = buf.clone();
             let mut lo = 0usize;
             let mut hi = data.len();
@@ -522,7 +199,7 @@ mod tests {
                 if len == 0 { break; }
                 let off = a % len;
                 let sub_len = b % (len - off + 1);
-                view = view.sub(off, sub_len);
+                view = view.slice(off..off + sub_len);
                 lo += off;
                 hi = lo + sub_len;
             }
@@ -532,7 +209,7 @@ mod tests {
         /// split_at is a partition: concatenating the halves restores the view.
         fn prop_split_partitions(data in collection::vec(any::<u8>(), 0..128),
                                  mid_seed in any::<usize>()) {
-            let buf = Buf::copy_from_slice(&data);
+            let buf = make_buf(&data);
             let mid = if data.is_empty() { 0 } else { mid_seed % (data.len() + 1) };
             let (a, b) = buf.split_at(mid);
             let mut joined = a.as_slice().to_vec();

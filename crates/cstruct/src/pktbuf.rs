@@ -1,11 +1,14 @@
 //! Reference-counted immutable packet buffers with copy accounting.
 //!
 //! A [`PktBuf`] is the unit of ownership on the packet data path: an
-//! `Arc<[u8]>`-backed slice (a [`Buf`] view under the hood) that the device
-//! ring, the network stack, TCP reassembly and the application all share
-//! by reference. Cloning or slicing a `PktBuf` bumps a refcount; the bytes
-//! are never duplicated. This is the paper's "ext I/O data travels by
-//! reference" claim (§3.2, Figure 2/4) made into a type.
+//! immutable, reference-counted view over (part of) an I/O page or an
+//! adopted heap buffer, which the device ring, the network stack, TCP
+//! reassembly and the application all share by reference. Cloning or
+//! slicing a `PktBuf` bumps a refcount; the bytes are never duplicated —
+//! the paper's `Cstruct.sub` (§3.4.1) and its "ext I/O data travels by
+//! reference" claim (§3.2, Figure 2/4) made into a type. A pool page
+//! returns to its [`PagePool`](crate::PagePool) when the last view over it
+//! drops.
 //!
 //! Every operation that *does* duplicate payload bytes in software funnels
 //! through [`record_copy`], and every serialisation of payload into a wire
@@ -17,8 +20,9 @@
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crate::buf::{Buf, BufMut};
+use crate::pool::PoolRef;
 
 static COPY_COUNT: AtomicU64 = AtomicU64::new(0);
 static COPY_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -74,29 +78,74 @@ pub fn record_serialize(bytes: usize) {
     SERIALIZE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
+/// The page (or adopted heap buffer) behind a set of [`PktBuf`] views.
+struct PageShared {
+    data: Option<Box<[u8]>>,
+    pool: PoolRef,
+    /// Length of the prefix its writer may have dirtied.
+    dirty: usize,
+}
+
+impl Drop for PageShared {
+    fn drop(&mut self) {
+        if let (Some(page), Some(pool)) = (self.data.take(), self.pool.upgrade()) {
+            pool.recycle(page, self.dirty);
+        }
+    }
+}
+
+impl PageShared {
+    fn bytes(&self) -> &[u8] {
+        self.data.as_deref().expect("page present until drop")
+    }
+}
+
 /// A reference-counted immutable packet buffer.
 ///
-/// The packet-path counterpart of [`Buf`]: cheap to clone, cheap to slice,
-/// comparable by content, and explicit about the few operations that copy.
-#[derive(Clone, Eq)]
+/// Cheap to clone, cheap to slice, comparable by content, and explicit
+/// about the few operations that copy.
+///
+/// # Example
+///
+/// ```
+/// use mirage_cstruct::PagePool;
+///
+/// let pool = PagePool::new(1);
+/// let mut page = pool.alloc()?;
+/// page.write_at(0, b"headerpayload");
+/// page.truncate(13);
+/// let buf = page.freeze();
+/// let (hdr, payload) = buf.split_at(6);
+/// assert_eq!(hdr.as_slice(), b"header");
+/// assert_eq!(payload.as_slice(), b"payload");
+/// # Ok::<(), mirage_cstruct::PoolExhausted>(())
+/// ```
+#[derive(Clone)]
 pub struct PktBuf {
-    view: Buf,
+    page: Arc<PageShared>,
+    off: usize,
+    len: usize,
 }
 
 impl PktBuf {
+    /// A view over the first `len` bytes of `data`, which returns to
+    /// `pool` (if it is still alive) when the last view drops, with its
+    /// first `dirty` bytes zeroed.
+    pub(crate) fn adopt(data: Box<[u8]>, pool: PoolRef, len: usize, dirty: usize) -> PktBuf {
+        PktBuf {
+            page: Arc::new(PageShared {
+                data: Some(data),
+                pool,
+                dirty,
+            }),
+            off: 0,
+            len,
+        }
+    }
+
     /// An empty buffer.
     pub fn empty() -> PktBuf {
-        PktBuf { view: Buf::empty() }
-    }
-
-    /// Wraps a pool-page view without copying — the RX fast path.
-    pub fn from_pool(view: Buf) -> PktBuf {
-        PktBuf { view }
-    }
-
-    /// Seals a pool page under construction and wraps the result.
-    pub fn from_page(page: BufMut) -> PktBuf {
-        PktBuf { view: page.freeze() }
+        PktBuf::from_vec(Vec::new())
     }
 
     /// Takes ownership of an already-built vector without copying.
@@ -104,32 +153,29 @@ impl PktBuf {
     /// Used where a packet is assembled with `Vec` machinery (control-plane
     /// builders, HTTP `encode()`): the allocation is adopted, not cloned.
     pub fn from_vec(data: Vec<u8>) -> PktBuf {
-        PktBuf {
-            view: Buf::from_vec(data),
-        }
+        let len = data.len();
+        PktBuf::adopt(data.into_boxed_slice(), PoolRef::new(), len, len)
     }
 
     /// Builds a buffer by **copying** `data`. Counted.
     pub fn copy_from_slice(data: &[u8]) -> PktBuf {
         record_copy(data.len());
-        PktBuf {
-            view: Buf::copy_from_slice(data),
-        }
+        PktBuf::from_vec(data.to_vec())
     }
 
     /// The bytes this buffer covers.
     pub fn as_slice(&self) -> &[u8] {
-        self.view.as_slice()
+        &self.page.bytes()[self.off..self.off + self.len]
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.view.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.view.is_empty()
+        self.len == 0
     }
 
     /// Sub-view over `range`, sharing the same backing page.
@@ -146,12 +192,23 @@ impl PktBuf {
         let end = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len(),
+            Bound::Unbounded => self.len,
         };
-        assert!(start <= end && end <= self.len(), "slice out of bounds");
+        assert!(start <= end && end <= self.len, "slice out of bounds");
         PktBuf {
-            view: self.view.sub(start, end - start),
+            page: Arc::clone(&self.page),
+            off: self.off + start,
+            len: end - start,
         }
+    }
+
+    /// Splits into `[0, mid)` and `[mid, len)` views over the same page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mid > len`.
+    pub fn split_at(&self, mid: usize) -> (PktBuf, PktBuf) {
+        (self.slice(..mid), self.slice(mid..))
     }
 
     /// Splits off and returns the first `n` bytes; `self` keeps the rest.
@@ -162,7 +219,7 @@ impl PktBuf {
     /// Panics if `n > len`.
     pub fn split_to(&mut self, n: usize) -> PktBuf {
         let head = self.slice(..n);
-        self.view = self.view.skip(n);
+        *self = self.slice(n..);
         head
     }
 
@@ -174,12 +231,7 @@ impl PktBuf {
 
     /// Number of views sharing the backing page (diagnostics).
     pub fn view_count(&self) -> usize {
-        self.view.view_count()
-    }
-
-    /// The underlying page view.
-    pub fn as_buf(&self) -> &Buf {
-        &self.view
+        Arc::strong_count(&self.page)
     }
 }
 
@@ -207,6 +259,8 @@ impl PartialEq for PktBuf {
         self.as_slice() == other.as_slice()
     }
 }
+
+impl Eq for PktBuf {}
 
 impl std::hash::Hash for PktBuf {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
@@ -254,12 +308,6 @@ impl From<Vec<u8>> for PktBuf {
     /// Adopts the vector; no copy.
     fn from(data: Vec<u8>) -> PktBuf {
         PktBuf::from_vec(data)
-    }
-}
-
-impl From<Buf> for PktBuf {
-    fn from(view: Buf) -> PktBuf {
-        PktBuf::from_pool(view)
     }
 }
 
@@ -313,7 +361,7 @@ mod tests {
         let mut page = pool.alloc().unwrap();
         page.write_at(0, b"headerpayload");
         page.truncate(13);
-        let pkt = PktBuf::from_page(page);
+        let pkt = page.freeze();
         let before = copy_counters();
         let hdr = pkt.slice(..6);
         let body = pkt.slice(6..);

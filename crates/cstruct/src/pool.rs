@@ -58,8 +58,12 @@ pub(crate) struct PoolInner {
 }
 
 impl PoolInner {
-    pub(crate) fn recycle(&self, page: Box<[u8]>) {
+    /// Takes a page back, zeroing its first `dirty` bytes — all that an
+    /// owner can have written — so every page [`PagePool::alloc`] hands
+    /// out is zeroed.
+    pub(crate) fn recycle(&self, mut page: Box<[u8]>, dirty: usize) {
         debug_assert_eq!(page.len(), PAGE_SIZE);
+        page[..dirty].fill(0);
         self.free.lock().expect("pool lock").push(page);
         self.counters.lock().expect("pool lock").1 += 1;
     }
@@ -113,15 +117,16 @@ impl PagePool {
 
     /// Takes a page from the pool for exclusive writing.
     ///
-    /// The page contents are zeroed (pages may carry stale data from their
-    /// previous use, and a sealed unikernel must not leak it to the wire).
+    /// The page contents are zeroed: a page returning to the pool is
+    /// scrubbed of everything its previous owner wrote, so a sealed
+    /// unikernel never leaks stale data to the wire.
     ///
     /// # Errors
     ///
     /// Returns [`PoolExhausted`] when every page is in flight; callers are
     /// expected to apply back-pressure and retry after views are dropped.
     pub fn alloc(&self) -> Result<BufMut, PoolExhausted> {
-        let mut page = self
+        let page = self
             .inner
             .free
             .lock()
@@ -130,7 +135,6 @@ impl PagePool {
             .ok_or(PoolExhausted {
                 capacity: self.inner.capacity,
             })?;
-        page.fill(0);
         self.inner.counters.lock().expect("pool lock").0 += 1;
         Ok(BufMut::from_page(page, Arc::downgrade(&self.inner)))
     }
@@ -191,11 +195,25 @@ mod tests {
     #[test]
     fn fresh_pages_are_zeroed_after_reuse() {
         let pool = PagePool::new(1);
+        let zeroed = |pool: &PagePool| pool.alloc().unwrap().as_slice().iter().all(|&b| b == 0);
+        // Written in full, dropped unfrozen.
         let mut page = pool.alloc().unwrap();
         page.as_mut_slice().fill(0xFF);
         drop(page);
-        let page = pool.alloc().unwrap();
-        assert!(page.as_slice().iter().all(|&b| b == 0));
+        assert!(zeroed(&pool));
+        // Written in full, then narrowed and frozen.
+        let mut page = pool.alloc().unwrap();
+        page.as_mut_slice().fill(0xFF);
+        page.truncate(10);
+        drop(page.freeze());
+        assert!(zeroed(&pool));
+        // Written past a narrowed extent, frozen and split.
+        let mut page = pool.alloc().unwrap();
+        page.truncate(10);
+        page.as_mut_slice().fill(0xFF);
+        page.write_at(4000, &[0xFF; 96]);
+        drop(page.freeze().split_at(5));
+        assert!(zeroed(&pool));
     }
 
     #[test]

@@ -58,21 +58,28 @@ impl ArpPacket {
         })
     }
 
+    /// Writes the packet into `buf[..ARP_LEN]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than [`ARP_LEN`].
+    pub fn write(&self, buf: &mut [u8]) {
+        let op: u16 = match self.op {
+            ArpOp::Request => 1,
+            ArpOp::Reply => 2,
+        };
+        buf[0..6].copy_from_slice(&[0, 1, 0x08, 0x00, 6, 4]);
+        buf[6..8].copy_from_slice(&op.to_be_bytes());
+        buf[8..14].copy_from_slice(self.sha.as_bytes());
+        buf[14..18].copy_from_slice(&self.spa.octets());
+        buf[18..24].copy_from_slice(self.tha.as_bytes());
+        buf[24..28].copy_from_slice(&self.tpa.octets());
+    }
+
     /// Serialises to an Ethernet payload.
     pub fn build(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(ARP_LEN);
-        p.extend_from_slice(&[0, 1, 0x08, 0x00, 6, 4]);
-        p.extend_from_slice(
-            &match self.op {
-                ArpOp::Request => 1u16,
-                ArpOp::Reply => 2u16,
-            }
-            .to_be_bytes(),
-        );
-        p.extend_from_slice(self.sha.as_bytes());
-        p.extend_from_slice(&self.spa.octets());
-        p.extend_from_slice(self.tha.as_bytes());
-        p.extend_from_slice(&self.tpa.octets());
+        let mut p = vec![0; ARP_LEN];
+        self.write(&mut p);
         p
     }
 }
@@ -97,36 +104,21 @@ pub struct ArpCache {
     pending: HashMap<Ipv4Addr, Pending>,
 }
 
-/// What the caller must do after a cache operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArpAction {
-    /// Resolved: transmit the returned packet to this MAC now.
-    Send(Mac, Vec<u8>),
-    /// Packet queued; broadcast a who-has for this IP.
-    RequestAndQueue(Ipv4Addr),
-    /// Packet queued behind an outstanding request; nothing to send.
-    Queued,
-}
-
 impl ArpCache {
     /// An empty cache.
     pub fn new() -> ArpCache {
         ArpCache::default()
     }
 
-    /// Looks up `ip` for transmitting `packet`; either resolves immediately
-    /// or queues the packet pending resolution.
-    pub fn lookup_or_queue(&mut self, ip: Ipv4Addr, packet: Vec<u8>, now: Time) -> ArpAction {
-        if let Some((mac, expiry)) = self.entries.get(&ip) {
-            if *expiry > now {
-                return ArpAction::Send(*mac, packet);
-            }
-            self.entries.remove(&ip);
-        }
+    /// Queues `packet` (an IPv4 packet) until `ip` resolves; call it after
+    /// [`ArpCache::get`] finds no live entry. Returns `true` when `packet`
+    /// is the first one waiting on `ip`, i.e. when the caller must
+    /// broadcast a who-has.
+    pub fn queue(&mut self, ip: Ipv4Addr, packet: Vec<u8>, now: Time) -> bool {
         match self.pending.get_mut(&ip) {
             Some(p) => {
                 p.queued.push(packet);
-                ArpAction::Queued
+                false
             }
             None => {
                 self.pending.insert(
@@ -137,7 +129,7 @@ impl ArpCache {
                         next_retry: now + REQUEST_RETRY,
                     },
                 );
-                ArpAction::RequestAndQueue(ip)
+                true
             }
         }
     }
@@ -228,21 +220,18 @@ mod tests {
     fn cache_resolves_and_flushes_queue() {
         let mut cache = ArpCache::new();
         let now = Time::ZERO;
-        assert_eq!(
-            cache.lookup_or_queue(IP1, b"pkt1".to_vec(), now),
-            ArpAction::RequestAndQueue(IP1)
+        assert_eq!(cache.get(IP1, now), None);
+        assert!(
+            cache.queue(IP1, b"pkt1".to_vec(), now),
+            "first packet requests"
         );
-        assert_eq!(
-            cache.lookup_or_queue(IP1, b"pkt2".to_vec(), now),
-            ArpAction::Queued,
+        assert!(
+            !cache.queue(IP1, b"pkt2".to_vec(), now),
             "second packet does not re-request"
         );
         let flushed = cache.learn(IP1, Mac::local(9), now);
         assert_eq!(flushed, vec![b"pkt1".to_vec(), b"pkt2".to_vec()]);
-        assert_eq!(
-            cache.lookup_or_queue(IP1, b"pkt3".to_vec(), now),
-            ArpAction::Send(Mac::local(9), b"pkt3".to_vec())
-        );
+        assert_eq!(cache.get(IP1, now), Some(Mac::local(9)));
     }
 
     #[test]
@@ -251,16 +240,16 @@ mod tests {
         cache.learn(IP1, Mac::local(9), Time::ZERO);
         let later = Time::ZERO + ENTRY_TTL + Dur::secs(1);
         assert_eq!(cache.get(IP1, later), None);
-        assert!(matches!(
-            cache.lookup_or_queue(IP1, b"p".to_vec(), later),
-            ArpAction::RequestAndQueue(_)
-        ));
+        assert!(
+            cache.queue(IP1, b"p".to_vec(), later),
+            "expired entry re-requests"
+        );
     }
 
     #[test]
     fn retries_then_gives_up() {
         let mut cache = ArpCache::new();
-        cache.lookup_or_queue(IP1, b"p".to_vec(), Time::ZERO);
+        cache.queue(IP1, b"p".to_vec(), Time::ZERO);
         let t1 = Time::ZERO + REQUEST_RETRY + Dur::millis(1);
         assert_eq!(cache.poll(t1), vec![IP1], "first retry");
         let t2 = t1 + REQUEST_RETRY + Dur::millis(1);

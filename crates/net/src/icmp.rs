@@ -42,17 +42,33 @@ impl<'a> Echo<'a> {
         })
     }
 
+    /// Length on the wire.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
+    /// Writes the message with its checksum into `buf[..self.wire_len()]`
+    /// — the one place that knows the echo layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than the message.
+    pub fn write(&self, buf: &mut [u8]) {
+        let p = &mut buf[..self.wire_len()];
+        p[0] = if self.is_request { 8 } else { 0 };
+        p[1] = 0;
+        p[2..4].copy_from_slice(&[0, 0]); // checksum placeholder
+        p[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        p[6..8].copy_from_slice(&self.seq.to_be_bytes());
+        p[HEADER_LEN..].copy_from_slice(self.payload);
+        let c = checksum::checksum(p);
+        p[2..4].copy_from_slice(&c.to_be_bytes());
+    }
+
     /// Serialises with checksum.
     pub fn build(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        p.push(if self.is_request { 8 } else { 0 });
-        p.push(0);
-        p.extend_from_slice(&[0, 0]); // checksum placeholder
-        p.extend_from_slice(&self.ident.to_be_bytes());
-        p.extend_from_slice(&self.seq.to_be_bytes());
-        p.extend_from_slice(self.payload);
-        let c = checksum::checksum(&p);
-        p[2..4].copy_from_slice(&c.to_be_bytes());
+        let mut p = vec![0; self.wire_len()];
+        self.write(&mut p);
         p
     }
 

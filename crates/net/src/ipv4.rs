@@ -105,23 +105,41 @@ impl<'a> Ipv4Packet<'a> {
     }
 }
 
+/// Writes a fresh header (DF set, no options) with its checksum into
+/// `buf[..HEADER_LEN]` for a packet carrying `payload_len` bytes — the one
+/// place that knows the IPv4 header layout.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than [`HEADER_LEN`].
+pub fn write_header(
+    buf: &mut [u8],
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: u8,
+    ident: u16,
+    payload_len: usize,
+) {
+    let h = &mut buf[..HEADER_LEN];
+    h[0] = 0x45; // version 4, IHL 5
+    h[1] = 0; // DSCP/ECN
+    h[2..4].copy_from_slice(&((HEADER_LEN + payload_len) as u16).to_be_bytes());
+    h[4..6].copy_from_slice(&ident.to_be_bytes());
+    h[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // DF
+    h[8] = 64; // TTL
+    h[9] = protocol;
+    h[10..12].copy_from_slice(&[0, 0]); // checksum placeholder
+    h[12..16].copy_from_slice(&src.octets());
+    h[16..20].copy_from_slice(&dst.octets());
+    let c = checksum::checksum(h);
+    h[10..12].copy_from_slice(&c.to_be_bytes());
+}
+
 /// Serialises a packet with a fresh header (DF set, no options).
 pub fn build(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, ident: u16, payload: &[u8]) -> Vec<u8> {
-    let total_len = (HEADER_LEN + payload.len()) as u16;
-    let mut p = Vec::with_capacity(total_len as usize);
-    p.push(0x45); // version 4, IHL 5
-    p.push(0); // DSCP/ECN
-    p.extend_from_slice(&total_len.to_be_bytes());
-    p.extend_from_slice(&ident.to_be_bytes());
-    p.extend_from_slice(&0x4000u16.to_be_bytes()); // DF
-    p.push(64); // TTL
-    p.push(protocol);
-    p.extend_from_slice(&[0, 0]); // checksum placeholder
-    p.extend_from_slice(&src.octets());
-    p.extend_from_slice(&dst.octets());
-    let c = checksum::checksum(&p[..HEADER_LEN]);
-    p[10..12].copy_from_slice(&c.to_be_bytes());
-    p.extend_from_slice(payload);
+    let mut p = vec![0; HEADER_LEN + payload.len()];
+    write_header(&mut p, src, dst, protocol, ident, payload.len());
+    p[HEADER_LEN..].copy_from_slice(payload);
     p
 }
 

@@ -22,8 +22,7 @@ use mirage_runtime::select::{select3, Either3};
 use mirage_runtime::Runtime;
 
 use crate::addr::{in_subnet, Mac};
-use crate::arp::{ArpAction, ArpCache, ArpOp, ArpPacket};
-use crate::checksum;
+use crate::arp::{ArpCache, ArpOp, ArpPacket, ARP_LEN};
 use crate::dhcp;
 use crate::ethernet::{self, EtherType, Frame};
 use crate::icmp::Echo;
@@ -151,6 +150,9 @@ pub struct StackStats {
     /// connection arms no deadline, so a quiet tick polls nothing — the
     /// scale suite asserts this stays zero across 100k idle connections.
     pub timer_polls: u64,
+    /// Frames written into a heap buffer because the TX page pool was
+    /// empty or the frame exceeded a page.
+    pub tx_heap_frames: u64,
 }
 
 /// Errors surfaced to socket users.
@@ -658,6 +660,7 @@ impl Stack {
             sum.syn_cookies_sent += s.syn_cookies_sent;
             sum.syn_cookies_accepted += s.syn_cookies_accepted;
             sum.timer_polls += s.timer_polls;
+            sum.tx_heap_frames += s.tx_heap_frames;
         }
         Ok(sum)
     }
@@ -698,7 +701,6 @@ impl Stack {
 struct PendingPing {
     reply: Sender<Result<Dur, NetError>>,
     sent_at: Time,
-    dst: Ipv4Addr,
     /// Timeout entry in the deadline wheel, cancelled on reply.
     timer: TimerId,
 }
@@ -780,6 +782,48 @@ const PING_TIMEOUT: Dur = Dur::secs(5);
 fn tcp_trace() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ON.get_or_init(|| std::env::var_os("MIRAGE_TCP_TRACE").is_some())
+}
+
+/// A transport message for [`Inner::send_ip`]; each variant is laid out by
+/// its protocol module's writer.
+enum L4<'a> {
+    /// Source port, destination port, segment.
+    Tcp(u16, u16, &'a SegmentOut),
+    /// Source port, destination port, payload.
+    Udp(u16, u16, &'a [u8]),
+    Icmp(Echo<'a>),
+}
+
+impl L4<'_> {
+    /// Length of the message on the wire.
+    fn len(&self) -> usize {
+        match self {
+            L4::Tcp(_, _, seg) => seg.wire_len(),
+            L4::Udp(_, _, payload) => udp::HEADER_LEN + payload.len(),
+            L4::Icmp(echo) => echo.wire_len(),
+        }
+    }
+
+    /// Writes the IPv4 packet carrying this message into
+    /// `buf[..ipv4::HEADER_LEN + self.len()]`.
+    fn write_packet(&self, buf: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr, ident: u16) {
+        let body = &mut buf[ipv4::HEADER_LEN..];
+        let proto = match *self {
+            L4::Tcp(sp, dp, seg) => {
+                tcp::write_segment(body, src, sp, dst, dp, seg);
+                protocol::TCP
+            }
+            L4::Udp(sp, dp, payload) => {
+                udp::write(body, src, sp, dst, dp, payload);
+                protocol::UDP
+            }
+            L4::Icmp(ref echo) => {
+                echo.write(body);
+                protocol::ICMP
+            }
+        };
+        ipv4::write_header(buf, src, dst, proto, ident, self.len());
+    }
 }
 
 impl Inner {
@@ -887,7 +931,7 @@ impl Inner {
             let now = self.rt.now();
             let (client, discover) = dhcp::Client::start(self.mac, 0x4D495241, now);
             self.dhcp = Some(client);
-            self.broadcast_udp(68, 67, discover);
+            self.send_ip(Ipv4Addr::BROADCAST, L4::Udp(68, 67, &discover));
         }
         loop {
             let deadline = self.next_deadline().unwrap_or(Time::MAX);
@@ -940,56 +984,84 @@ impl Inner {
         d
     }
 
-    // --- transmit helpers --------------------------------------------------
+    // --- transmit ---------------------------------------------------------
 
-    fn emit_frame(&mut self, dst: Mac, ethertype: EtherType, payload: &[u8]) {
-        let frame = ethernet::build(dst, self.mac, ethertype, payload);
-        self.rt.charge(self.rt.costs().copy(frame.len()));
-        let _ = self.nh.tx.send(PktBuf::from_vec(frame));
-    }
-
-    fn send_ipv4(&mut self, dst: Ipv4Addr, proto: u8, payload: &[u8]) {
+    /// Sends one IPv4 packet carrying `l4` to `dst`. Every IPv4 packet the
+    /// stack emits — TCP, UDP, ICMP, DHCP — comes through here.
+    fn send_ip(&mut self, dst: Ipv4Addr, l4: L4<'_>) {
         let ident = self.ident;
         self.ident = self.ident.wrapping_add(1);
-        let packet = ipv4::build(self.ip(), dst, proto, ident, payload);
-        if dst == Ipv4Addr::BROADCAST || dst.is_broadcast() {
-            self.emit_frame(Mac::BROADCAST, EtherType::Ipv4, &packet);
-            return;
-        }
-        // Route: on-link or via gateway.
+        let src = self.ip();
+        let len = ipv4::HEADER_LEN + l4.len();
+        let now = self.rt.now();
         let next_hop = match self.gateway {
-            Some(gw) if !in_subnet(dst, self.ip(), self.netmask) => gw,
+            Some(gw) if !in_subnet(dst, src, self.netmask) => gw,
             _ => dst,
         };
-        let now = self.rt.now();
-        let action = self.arp.lock().lookup_or_queue(next_hop, packet, now);
-        match action {
-            ArpAction::Send(mac, packet) => {
-                self.emit_frame(mac, EtherType::Ipv4, &packet);
+        let mac = if dst.is_broadcast() {
+            Some(Mac::BROADCAST)
+        } else {
+            self.arp.lock().get(next_hop, now)
+        };
+        match mac {
+            Some(mac) => self.emit(mac, EtherType::Ipv4, len, |b| {
+                l4.write_packet(b, src, dst, ident);
+            }),
+            None => {
+                // Unresolved: park the packet on the ARP cache until the
+                // neighbour answers.
+                let mut packet = vec![0; len];
+                l4.write_packet(&mut packet, src, dst, ident);
+                if self.arp.lock().queue(next_hop, packet, now) {
+                    self.send_arp(ArpOp::Request, Mac::BROADCAST, Mac::ZERO, next_hop);
+                }
             }
-            ArpAction::RequestAndQueue(ip) => self.send_arp_request(ip),
-            ArpAction::Queued => {}
         }
     }
 
-    fn send_arp_request(&mut self, tpa: Ipv4Addr) {
+    /// Emits one frame: the Ethernet header, then `len` bytes of body that
+    /// `write` lays out, written once into a single TX buffer handed to
+    /// the ring as one view. The buffer is a pool page, or a heap buffer
+    /// of the frame's size when the pool is empty or the frame exceeds a
+    /// page.
+    fn emit(&mut self, dst: Mac, ethertype: EtherType, len: usize, write: impl FnOnce(&mut [u8])) {
+        let total = ethernet::HEADER_LEN + len;
+        let src = self.mac;
+        let fill = |b: &mut [u8]| {
+            ethernet::write(b, dst, src, ethertype);
+            write(&mut b[ethernet::HEADER_LEN..total]);
+        };
+        let page = if total <= PAGE_SIZE {
+            self.pool.alloc().ok()
+        } else {
+            None
+        };
+        let frame = match page {
+            Some(mut page) => {
+                page.truncate(total);
+                fill(page.as_mut_slice());
+                page.freeze()
+            }
+            None => {
+                self.stats.tx_heap_frames += 1;
+                let mut heap = vec![0; total];
+                fill(&mut heap);
+                PktBuf::from_vec(heap)
+            }
+        };
+        self.rt.charge(self.rt.costs().copy(total));
+        let _ = self.nh.tx.send(frame);
+    }
+
+    fn send_arp(&mut self, op: ArpOp, dst: Mac, tha: Mac, tpa: Ipv4Addr) {
         let pkt = ArpPacket {
-            op: ArpOp::Request,
+            op,
             sha: self.mac,
             spa: self.ip(),
-            tha: Mac::ZERO,
+            tha,
             tpa,
-        }
-        .build();
-        self.emit_frame(Mac::BROADCAST, EtherType::Arp, &pkt);
-    }
-
-    fn broadcast_udp(&mut self, src_port: u16, dst_port: u16, payload: Vec<u8>) {
-        let seg = udp::build(self.ip(), src_port, Ipv4Addr::BROADCAST, dst_port, &payload);
-        let ident = self.ident;
-        self.ident = self.ident.wrapping_add(1);
-        let packet = ipv4::build(self.ip(), Ipv4Addr::BROADCAST, protocol::UDP, ident, &seg);
-        self.emit_frame(Mac::BROADCAST, EtherType::Ipv4, &packet);
+        };
+        self.emit(dst, EtherType::Arp, ARP_LEN, |b| pkt.write(b));
     }
 
     fn emit_tcp(&mut self, local_port: u16, peer: (Ipv4Addr, u16), seg: &SegmentOut) {
@@ -1008,110 +1080,7 @@ impl Inner {
                 seg.flags,
             );
         }
-        // Fast path: destination MAC already resolved → assemble ethernet,
-        // IPv4 and TCP headers plus the payload into one pool page in a
-        // single pass and hand the ring that view directly.
-        let next_hop = match self.gateway {
-            Some(gw) if !in_subnet(peer.0, self.ip(), self.netmask) => gw,
-            _ => peer.0,
-        };
-        let now = self.rt.now();
-        let resolved = self.arp.lock().get(next_hop, now);
-        if let Some(mac) = resolved {
-            if let Some(frame) = self.build_tcp_frame(mac, local_port, peer, seg) {
-                self.rt.charge(self.rt.costs().copy(frame.len()));
-                let _ = self.nh.tx.send(frame);
-                return;
-            }
-        }
-        // Slow path: MAC unresolved (queue behind ARP), pool exhausted, or
-        // frame larger than a page — go through the Vec builders.
-        let wire = tcp::build_segment(self.ip(), local_port, peer.0, peer.1, seg);
-        self.send_ipv4(peer.0, protocol::TCP, &wire);
-    }
-
-    fn build_tcp_frame(
-        &mut self,
-        dst_mac: Mac,
-        local_port: u16,
-        peer: (Ipv4Addr, u16),
-        seg: &SegmentOut,
-    ) -> Option<PktBuf> {
-        let mut opts = [0u8; 8];
-        let mut opts_len = 0;
-        if let Some(mss) = seg.mss {
-            opts[..2].copy_from_slice(&[2, 4]);
-            opts[2..4].copy_from_slice(&mss.to_be_bytes());
-            opts_len = 4;
-        }
-        if let Some(ws) = seg.wscale {
-            opts[opts_len..opts_len + 4].copy_from_slice(&[3, 3, ws, 1]); // + NOP pad
-            opts_len += 4;
-        }
-        let data_off = 20 + opts_len;
-        let t = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
-        let total = t + data_off + seg.payload.len();
-        if total > PAGE_SIZE {
-            return None;
-        }
-        let mut page = self.pool.alloc().ok()?;
-        let src_ip = self.ip();
-        let ident = self.ident;
-        self.ident = self.ident.wrapping_add(1);
-        let b = page.as_mut_slice();
-        // Ethernet (wire layout per ethernet::build).
-        b[0..6].copy_from_slice(dst_mac.as_bytes());
-        b[6..12].copy_from_slice(self.mac.as_bytes());
-        b[12..14].copy_from_slice(&EtherType::Ipv4.to_u16().to_be_bytes());
-        // IPv4 (wire layout per ipv4::build).
-        let ip_total = (ipv4::HEADER_LEN + data_off + seg.payload.len()) as u16;
-        b[14] = 0x45;
-        b[15] = 0;
-        b[16..18].copy_from_slice(&ip_total.to_be_bytes());
-        b[18..20].copy_from_slice(&ident.to_be_bytes());
-        b[20..22].copy_from_slice(&0x4000u16.to_be_bytes()); // DF
-        b[22] = 64; // TTL
-        b[23] = protocol::TCP;
-        b[24] = 0;
-        b[25] = 0;
-        b[26..30].copy_from_slice(&src_ip.octets());
-        b[30..34].copy_from_slice(&peer.0.octets());
-        let ip_ck = checksum::checksum(&b[14..34]);
-        b[24..26].copy_from_slice(&ip_ck.to_be_bytes());
-        // TCP (wire layout per tcp::build_segment).
-        b[t..t + 2].copy_from_slice(&local_port.to_be_bytes());
-        b[t + 2..t + 4].copy_from_slice(&peer.1.to_be_bytes());
-        b[t + 4..t + 8].copy_from_slice(&seg.seq.to_be_bytes());
-        b[t + 8..t + 12].copy_from_slice(&seg.ack.to_be_bytes());
-        b[t + 12] = ((data_off / 4) as u8) << 4;
-        let mut fb = 0u8;
-        if seg.flags.fin {
-            fb |= 0x01;
-        }
-        if seg.flags.syn {
-            fb |= 0x02;
-        }
-        if seg.flags.rst {
-            fb |= 0x04;
-        }
-        if seg.flags.psh {
-            fb |= 0x08;
-        }
-        if seg.flags.ack {
-            fb |= 0x10;
-        }
-        b[t + 13] = fb;
-        b[t + 14..t + 16].copy_from_slice(&seg.window.to_be_bytes());
-        b[t + 16..t + 20].copy_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-        b[t + 20..t + 20 + opts_len].copy_from_slice(&opts[..opts_len]);
-        b[t + data_off..total].copy_from_slice(&seg.payload);
-        if !seg.payload.is_empty() {
-            mirage_cstruct::record_serialize(seg.payload.len());
-        }
-        let tcp_ck = checksum::pseudo_checksum(src_ip, peer.0, protocol::TCP, &b[t..total]);
-        b[t + 16..t + 18].copy_from_slice(&tcp_ck.to_be_bytes());
-        page.truncate(total);
-        Some(PktBuf::from_page(page))
+        self.send_ip(peer.0, L4::Tcp(local_port, peer.1, seg));
     }
 
     /// Flushes connections with buffered app data, once per poll-loop
@@ -1183,18 +1152,12 @@ impl Inner {
         // Learn the sender and flush anything queued on it.
         let flushed = self.arp.lock().learn(pkt.spa, pkt.sha, now);
         for queued in flushed {
-            self.emit_frame(pkt.sha, EtherType::Ipv4, &queued);
+            self.emit(pkt.sha, EtherType::Ipv4, queued.len(), |b| {
+                b.copy_from_slice(&queued);
+            });
         }
         if pkt.op == ArpOp::Request && pkt.tpa == self.ip() && !self.ip().is_unspecified() {
-            let reply = ArpPacket {
-                op: ArpOp::Reply,
-                sha: self.mac,
-                spa: self.ip(),
-                tha: pkt.sha,
-                tpa: pkt.spa,
-            }
-            .build();
-            self.emit_frame(pkt.sha, EtherType::Arp, &reply);
+            self.send_arp(ArpOp::Reply, pkt.sha, pkt.sha, pkt.spa);
         }
     }
 
@@ -1232,9 +1195,7 @@ impl Inner {
             return;
         };
         if echo.is_request {
-            let reply = echo.reply().build();
-            let src = pkt.src;
-            self.send_ipv4(src, protocol::ICMP, &reply);
+            self.send_ip(pkt.src, L4::Icmp(echo.reply()));
         } else if let Some(pending) = self.pings.remove(&echo.seq) {
             self.wheel.cancel(pending.timer);
             let now = self.rt.now();
@@ -1260,7 +1221,7 @@ impl Inner {
                     self.dhcp = None;
                     self.ready.notify_all();
                 } else if let Some(out) = response {
-                    self.broadcast_udp(68, 67, out);
+                    self.send_ip(Ipv4Addr::BROADCAST, L4::Udp(68, 67, &out));
                 }
             }
             return;
@@ -1570,8 +1531,7 @@ impl Inner {
                 dst_port,
                 payload,
             } => {
-                let seg = udp::build(self.ip(), src_port, dst, dst_port, &payload);
-                self.send_ipv4(dst, protocol::UDP, &seg);
+                self.send_ip(dst, L4::Udp(src_port, dst_port, &payload));
             }
             Cmd::TcpListen { port, reply } => {
                 let mut listeners = self.listeners.lock();
@@ -1649,8 +1609,7 @@ impl Inner {
                     ident: 0x4D52,
                     seq,
                     payload: b"mirage-rs ping",
-                }
-                .build();
+                };
                 let timer = self
                     .wheel
                     .insert((now + PING_TIMEOUT).as_nanos(), WheelItem::Ping(seq));
@@ -1659,11 +1618,10 @@ impl Inner {
                     PendingPing {
                         reply,
                         sent_at: now,
-                        dst,
                         timer,
                     },
                 );
-                self.send_ipv4(dst, protocol::ICMP, &echo);
+                self.send_ip(dst, L4::Icmp(echo));
             }
         }
     }
@@ -1702,7 +1660,6 @@ impl Inner {
                 WheelItem::Ping(seq) => {
                     if let Some(p) = self.pings.remove(&seq) {
                         let _ = p.reply.send(Err(NetError::TimedOut));
-                        let _ = p.dst;
                     }
                 }
             }
@@ -1711,12 +1668,12 @@ impl Inner {
         // ARP retries.
         let retries = self.arp.lock().poll(now);
         for ip in retries {
-            self.send_arp_request(ip);
+            self.send_arp(ArpOp::Request, Mac::BROADCAST, Mac::ZERO, ip);
         }
         // DHCP retries.
         if let Some(client) = self.dhcp.as_mut() {
             if let Some(msg) = client.poll(now) {
-                self.broadcast_udp(68, 67, msg);
+                self.send_ip(Ipv4Addr::BROADCAST, L4::Udp(68, 67, &msg));
             }
         }
     }

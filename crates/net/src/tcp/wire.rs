@@ -143,8 +143,68 @@ pub struct SegmentOut {
     pub payload: PktBuf,
 }
 
+impl SegmentOut {
+    /// Option bytes: MSS (4), then window scale with its NOP pad (4), so
+    /// the header stays a whole number of words.
+    fn options_len(&self) -> usize {
+        4 * (usize::from(self.mss.is_some()) + usize::from(self.wscale.is_some()))
+    }
+
+    /// Length on the wire: header, options and payload.
+    pub fn wire_len(&self) -> usize {
+        20 + self.options_len() + self.payload.len()
+    }
+}
+
+/// Writes `out` — header, options, padding, payload and pseudo-header
+/// checksum — into `buf[..out.wire_len()]`: the one place that knows the
+/// TCP layout. Payload bytes written are counted by
+/// [`record_serialize`](mirage_cstruct::record_serialize).
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than the segment.
+pub fn write_segment(
+    buf: &mut [u8],
+    src: std::net::Ipv4Addr,
+    src_port: u16,
+    dst: std::net::Ipv4Addr,
+    dst_port: u16,
+    out: &SegmentOut,
+) {
+    let data_off = 20 + out.options_len();
+    let d = &mut buf[..out.wire_len()];
+    d[0..2].copy_from_slice(&src_port.to_be_bytes());
+    d[2..4].copy_from_slice(&dst_port.to_be_bytes());
+    d[4..8].copy_from_slice(&out.seq.to_be_bytes());
+    d[8..12].copy_from_slice(&out.ack.to_be_bytes());
+    d[12] = ((data_off / 4) as u8) << 4;
+    let f = out.flags;
+    d[13] = u8::from(f.fin)
+        | u8::from(f.syn) << 1
+        | u8::from(f.rst) << 2
+        | u8::from(f.psh) << 3
+        | u8::from(f.ack) << 4;
+    d[14..16].copy_from_slice(&out.window.to_be_bytes());
+    d[16..20].copy_from_slice(&[0, 0, 0, 0]); // checksum + urgent
+    let mut o = 20;
+    if let Some(mss) = out.mss {
+        let [hi, lo] = mss.to_be_bytes();
+        d[o..o + 4].copy_from_slice(&[2, 4, hi, lo]);
+        o += 4;
+    }
+    if let Some(ws) = out.wscale {
+        d[o..o + 4].copy_from_slice(&[3, 3, ws, 1]); // + NOP pad
+    }
+    d[data_off..].copy_from_slice(&out.payload);
+    if !out.payload.is_empty() {
+        mirage_cstruct::record_serialize(out.payload.len());
+    }
+    let c = checksum::pseudo_checksum(src, dst, protocol::TCP, d);
+    d[16..18].copy_from_slice(&c.to_be_bytes());
+}
+
 /// Serialises a segment into an IPv4 payload with checksum.
-#[allow(clippy::too_many_arguments)]
 pub fn build_segment(
     src: std::net::Ipv4Addr,
     src_port: u16,
@@ -152,50 +212,8 @@ pub fn build_segment(
     dst_port: u16,
     out: &SegmentOut,
 ) -> Vec<u8> {
-    let mut opts = Vec::new();
-    if let Some(mss) = out.mss {
-        opts.extend_from_slice(&[2, 4]);
-        opts.extend_from_slice(&mss.to_be_bytes());
-    }
-    if let Some(ws) = out.wscale {
-        opts.extend_from_slice(&[3, 3, ws, 1]); // + NOP pad
-    }
-    while opts.len() % 4 != 0 {
-        opts.push(0);
-    }
-    let data_off = 20 + opts.len();
-    let mut d = Vec::with_capacity(data_off + out.payload.len());
-    d.extend_from_slice(&src_port.to_be_bytes());
-    d.extend_from_slice(&dst_port.to_be_bytes());
-    d.extend_from_slice(&out.seq.to_be_bytes());
-    d.extend_from_slice(&out.ack.to_be_bytes());
-    d.push(((data_off / 4) as u8) << 4);
-    let mut fb = 0u8;
-    if out.flags.fin {
-        fb |= 0x01;
-    }
-    if out.flags.syn {
-        fb |= 0x02;
-    }
-    if out.flags.rst {
-        fb |= 0x04;
-    }
-    if out.flags.psh {
-        fb |= 0x08;
-    }
-    if out.flags.ack {
-        fb |= 0x10;
-    }
-    d.push(fb);
-    d.extend_from_slice(&out.window.to_be_bytes());
-    d.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-    d.extend_from_slice(&opts);
-    d.extend_from_slice(&out.payload);
-    if !out.payload.is_empty() {
-        mirage_cstruct::record_serialize(out.payload.len());
-    }
-    let c = checksum::pseudo_checksum(src, dst, protocol::TCP, &d);
-    d[16..18].copy_from_slice(&c.to_be_bytes());
+    let mut d = vec![0; out.wire_len()];
+    write_segment(&mut d, src, src_port, dst, dst_port, out);
     d
 }
 

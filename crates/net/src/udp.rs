@@ -42,6 +42,35 @@ impl<'a> UdpDatagram<'a> {
     }
 }
 
+/// Writes the datagram — header, `payload` and pseudo-header checksum —
+/// into `buf[..HEADER_LEN + payload.len()]`: the one place that knows the
+/// UDP layout.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than the datagram.
+pub fn write(
+    buf: &mut [u8],
+    src: Ipv4Addr,
+    src_port: u16,
+    dst: Ipv4Addr,
+    dst_port: u16,
+    payload: &[u8],
+) {
+    let len = HEADER_LEN + payload.len();
+    let d = &mut buf[..len];
+    d[0..2].copy_from_slice(&src_port.to_be_bytes());
+    d[2..4].copy_from_slice(&dst_port.to_be_bytes());
+    d[4..6].copy_from_slice(&(len as u16).to_be_bytes());
+    d[6..8].copy_from_slice(&[0, 0]);
+    d[HEADER_LEN..].copy_from_slice(payload);
+    let mut c = checksum::pseudo_checksum(src, dst, protocol::UDP, d);
+    if c == 0 {
+        c = 0xFFFF; // 0 is reserved for "no checksum"
+    }
+    d[6..8].copy_from_slice(&c.to_be_bytes());
+}
+
 /// Serialises a datagram with its pseudo-header checksum.
 pub fn build(
     src: Ipv4Addr,
@@ -50,18 +79,8 @@ pub fn build(
     dst_port: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let len = (HEADER_LEN + payload.len()) as u16;
-    let mut d = Vec::with_capacity(len as usize);
-    d.extend_from_slice(&src_port.to_be_bytes());
-    d.extend_from_slice(&dst_port.to_be_bytes());
-    d.extend_from_slice(&len.to_be_bytes());
-    d.extend_from_slice(&[0, 0]);
-    d.extend_from_slice(payload);
-    let mut c = checksum::pseudo_checksum(src, dst, protocol::UDP, &d);
-    if c == 0 {
-        c = 0xFFFF; // 0 is reserved for "no checksum"
-    }
-    d[6..8].copy_from_slice(&c.to_be_bytes());
+    let mut d = vec![0; HEADER_LEN + payload.len()];
+    write(&mut d, src, src_port, dst, dst_port, payload);
     d
 }
 

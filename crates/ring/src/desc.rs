@@ -64,14 +64,27 @@ fn slot_range(idx: u32) -> std::ops::Range<usize> {
     start..start + SLOT_BYTES
 }
 
-#[allow(dead_code)]
-fn write_slot(page: &SharedPage, idx: u32, data: &[u8]) {
+/// Writes `data` into the slot at the producer index that `get_prod` and
+/// `set_prod` name, then publishes the index (the write barrier the
+/// paper's inline assembly provides). Returns `true` when the peer's
+/// announced wait point (`get_event`) falls inside `(old_prod, new_prod]`,
+/// i.e. when the peer must be notified (event-index suppression).
+fn publish(
+    page: &SharedPage,
+    data: &[u8],
+    get_prod: fn(&[u8]) -> u32,
+    set_prod: fn(&mut [u8], u32),
+    get_event: fn(&[u8]) -> u32,
+) -> bool {
     page.write(|bytes| {
-        let r = slot_range(idx);
-        let slot = &mut bytes[r];
+        let old_prod = get_prod(bytes);
+        let new_prod = old_prod.wrapping_add(1);
+        let slot = &mut bytes[slot_range(old_prod)];
         slot[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes());
         slot[2..2 + data.len()].copy_from_slice(data);
-    });
+        set_prod(bytes, new_prod);
+        new_prod.wrapping_sub(get_event(bytes)) < new_prod.wrapping_sub(old_prod)
+    })
 }
 
 fn read_slot(page: &SharedPage, idx: u32) -> Vec<u8> {
@@ -121,22 +134,13 @@ impl FrontRing {
         if self.free_slots() == 0 {
             return Err(RingError::Full);
         }
-        let notify = self.page.write(|bytes| {
-            let old_prod = ring_hdr::get_req_prod(bytes);
-            let new_prod = old_prod.wrapping_add(1);
-            // Write the slot, then publish the producer index (the write
-            // barrier the paper's inline assembly provides).
-            let r = slot_range(old_prod);
-            let slot = &mut bytes[r];
-            slot[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes());
-            slot[2..2 + data.len()].copy_from_slice(data);
-            ring_hdr::set_req_prod(bytes, new_prod);
-            let req_event = ring_hdr::get_req_event(bytes);
-            // Notify iff the peer's announced wait point falls inside
-            // (old_prod, new_prod].
-            new_prod.wrapping_sub(req_event) < new_prod.wrapping_sub(old_prod)
-        });
-        Ok(notify)
+        Ok(publish(
+            &self.page,
+            data,
+            ring_hdr::get_req_prod,
+            ring_hdr::set_req_prod,
+            ring_hdr::get_req_event,
+        ))
     }
 
     /// Pops the next response, if any.
@@ -210,18 +214,13 @@ impl BackRing {
         if data.len() > SLOT_PAYLOAD {
             return Err(RingError::TooLarge);
         }
-        let notify = self.page.write(|bytes| {
-            let old_prod = ring_hdr::get_rsp_prod(bytes);
-            let new_prod = old_prod.wrapping_add(1);
-            let r = slot_range(old_prod);
-            let slot = &mut bytes[r];
-            slot[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes());
-            slot[2..2 + data.len()].copy_from_slice(data);
-            ring_hdr::set_rsp_prod(bytes, new_prod);
-            let rsp_event = ring_hdr::get_rsp_event(bytes);
-            new_prod.wrapping_sub(rsp_event) < new_prod.wrapping_sub(old_prod)
-        });
-        Ok(notify)
+        Ok(publish(
+            &self.page,
+            data,
+            ring_hdr::get_rsp_prod,
+            ring_hdr::set_rsp_prod,
+            ring_hdr::get_rsp_event,
+        ))
     }
 
     /// Announces the backend is about to block until the next request;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify for mirage-rs: offline build + test, dependency gate,
-# clippy gate, bench-guard self-check and example smoke tests. Run from
-# anywhere; operates on the repo root.
+# clippy gate, bench-guard self-check, the perfbench self-test and example
+# smoke tests. Run from anywhere; operates on the repo root.
 #
 #   scripts/verify.sh                # build, test, gates, examples
 #   scripts/verify.sh --determinism  # additionally run the seeded
@@ -98,6 +98,9 @@ echo "   ok"
 
 echo "== test (offline)"
 cargo test -q --offline --workspace
+
+echo "== perfbench: build and self-test (its own workspace; tier-1 never compiles it)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== examples"
 for ex in quickstart boot_storm dns_appliance web_appliance openflow_appliance; do

@@ -16,14 +16,15 @@ use std::sync::{Arc, OnceLock};
 use mirage::cstruct::{copy_counters, reset_copy_counters};
 use mirage::devices::netfront::{CopyDiscipline, Netfront};
 use mirage::devices::{
-    BlkOp, BlkRequest, Blkfront, DiskFaultPlan, DiskProfile, DriverDomain, DriverStats, Netem,
-    NetemConfig, NetemStats, NetProfile, Tap, Xenstore,
+    Backend, BlkOp, BlkRequest, Blkfront, DiskFaultPlan, DiskProfile, DriverDomain, NetProfile,
+    Netem, NetemConfig, Tap, Xenstore,
 };
 use mirage::dns::{DnsName, DnsServer, Message, RData, RType, Rcode, ServerConfig, Zone};
 use mirage::http::{HandlerFuture, HttpConnection, HttpServer, Request, Response, Router};
-use mirage::hypervisor::{Dur, Hypervisor, RunOutcome, Time, KILLED_EXIT_CODE};
-use mirage::net::{tcp, Ipv4Addr, Mac, PktBuf, Stack, StackConfig};
+use mirage::hypervisor::{Dur, Hypervisor, Time, KILLED_EXIT_CODE};
+use mirage::net::{Ipv4Addr, Mac, PktBuf, Stack, StackConfig};
 use mirage::runtime::UnikernelGuest;
+use mirage_bench::netsim;
 use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
 use mirage_testkit::{prop, test_seed};
@@ -44,166 +45,6 @@ fn pattern(len: usize) -> Vec<u8> {
 }
 
 // ------------------------------------------------------------------ TCP
-
-const TX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const RX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-/// Everything one conditioned bulk-transfer run produces.
-struct LossyTcpReport {
-    /// Bytes the receiver accepted before sending its receipt.
-    received: Vec<u8>,
-    /// Bytes delivered beyond the expected payload (duplicate delivery).
-    extra_bytes: u64,
-    /// Sender-side connection counters, snapshotted before close.
-    sender: tcp::TcpStats,
-    /// The conditioner's fault counters and decision schedule.
-    netem: NetemStats,
-    /// Switch-level counters (drop reasons, blk faults).
-    driver: DriverStats,
-}
-
-/// Runs one `bytes`-long TCP bulk transfer between two unikernels through
-/// a switch conditioned by `cfg`, seeded from `(seed, cell)`.
-fn run_lossy_tcp(seed: u64, cell: &'static str, cfg: NetemConfig, bytes: usize) -> LossyTcpReport {
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::new();
-    hv.set_step_budget(400_000_000);
-
-    let mut dom0 = DriverDomain::new(xs.clone());
-    let netem = Netem::from_seed(cfg, seed, cell);
-    let nstats = netem.stats_handle();
-    dom0.set_netem(netem);
-    let dstats = dom0.stats_handle();
-    hv.create_domain("dom0", 512, Box::new(dom0));
-
-    // Bound the advertised window so in-flight data respects the switch
-    // queueing budget (as the bench harness does), and cap the RTO so a
-    // 20%-loss cell backs off on a test-sized timescale instead of
-    // production TCP's 60 s ceiling.
-    let tcp_cfg = tcp::TcpConfig::builder()
-        .recv_buf(64 * 1024)
-        .rto_max(Dur::secs(2))
-        .build()
-        .expect("valid tcp config");
-    let rx_cfg = StackConfig::builder(RX_IP)
-        .tcp(tcp_cfg.clone())
-        .build()
-        .expect("valid stack config");
-    let tx_cfg = StackConfig::builder(TX_IP)
-        .tcp(tcp_cfg)
-        .build()
-        .expect("valid stack config");
-
-    let payload = Arc::new(pattern(bytes));
-
-    // Receiver: accept, read the payload, send a 1-byte receipt, then
-    // count anything delivered beyond the expected length.
-    let rx_result = Arc::new(Mutex::new(None::<(Vec<u8>, u64)>));
-    let rx_out = Arc::clone(&rx_result);
-    let (front_rx, nh_rx) =
-        Netfront::new(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
-    let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_rx, rx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            let mut listener = stack.tcp_listen(5001).await.unwrap();
-            let mut stream = listener.accept().await.unwrap();
-            let mut got: Vec<u8> = Vec::new();
-            while got.len() < bytes {
-                match stream.read().await {
-                    Some(chunk) => got.extend_from_slice(&chunk),
-                    None => break,
-                }
-            }
-            stream.write(b"K");
-            let extra = stream.read_to_end().await.len() as u64;
-            *rx_out.lock() = Some((got, extra));
-            // Park instead of exiting: a dead domain takes its stack (and
-            // its retransmissions) with it, which would re-lose any frame
-            // netem drops during teardown.
-            loop {
-                rt2.sleep(Dur::secs(60)).await;
-            }
-        })
-    });
-    rx_guest.add_device(Box::new(front_rx));
-    hv.create_domain("chaos-rx", 128, Box::new(rx_guest));
-
-    // Sender: connect (retrying through SYN loss), stream the payload,
-    // await the receipt, snapshot stats while the connection still exists.
-    let tx_result: Arc<Mutex<Option<tcp::TcpStats>>> = Arc::new(Mutex::new(None));
-    let tx_out = Arc::clone(&tx_result);
-    let tx_payload = Arc::clone(&payload);
-    let (front_tx, nh_tx) =
-        Netfront::new(xs.clone(), "tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
-    let mut tx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_tx, tx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
-            let mut stream = loop {
-                match stack.tcp_connect(RX_IP, 5001).await {
-                    Ok(s) => break s,
-                    Err(_) => rt2.sleep(Dur::millis(50)).await,
-                }
-            };
-            let mut sent = 0usize;
-            while sent < tx_payload.len() {
-                let n = (tx_payload.len() - sent).min(16 * 1024);
-                stream.write(&tx_payload[sent..sent + n]);
-                sent += n;
-                rt2.yield_now().await;
-            }
-            let mut receipt: Vec<u8> = Vec::new();
-            while receipt.is_empty() {
-                match stream.read().await {
-                    Some(chunk) => receipt.extend_from_slice(&chunk),
-                    None => break,
-                }
-            }
-            let stats = stream.stats().await.expect("stats before close");
-            *tx_out.lock() = Some(stats);
-            stream.close();
-            // Park: keep the stack alive so the FIN survives being lost.
-            loop {
-                rt2.sleep(Dur::secs(60)).await;
-            }
-        })
-    });
-    tx_guest.add_device(Box::new(front_tx));
-    hv.create_domain("chaos-tx", 128, Box::new(tx_guest));
-
-    // Run in slices until both sides report (the guests deliberately
-    // never exit), bounding total virtual time.
-    let deadline = Time::ZERO + Dur::secs(300);
-    loop {
-        let outcome = hv.run_until(hv.now() + Dur::millis(100));
-        let done = rx_result.lock().is_some() && tx_result.lock().is_some();
-        if done {
-            break;
-        }
-        assert!(
-            outcome == RunOutcome::TimeLimit && hv.now() < deadline,
-            "[{cell}] transfer stalled (outcome {outcome:?} at {:?}, netem {:?}, driver {:?}); \
-             reproduce with MIRAGE_TEST_SEED={seed}",
-            hv.now(),
-            nstats.lock().clone(),
-            *dstats.lock(),
-        );
-    }
-
-    let (received, extra_bytes) = rx_result.lock().take().expect("receiver reported");
-    let sender = tx_result.lock().take().expect("sender reported");
-    let netem = nstats.lock().clone();
-    let driver = *dstats.lock();
-    LossyTcpReport {
-        received,
-        extra_bytes,
-        sender,
-        netem,
-        driver,
-    }
-}
 
 /// The loss × reorder × duplication grid. Every cell must deliver the
 /// payload exactly once, and every cell with loss must show the
@@ -241,7 +82,7 @@ fn tcp_bulk_transfer_is_exactly_once_across_the_loss_grid() {
             },
             partitions: Vec::new(),
         };
-        let report = run_lossy_tcp(seed, cell, cfg, bytes);
+        let report = netsim::lossy_transfer(Backend::XenRing, seed, cell, cfg, bytes);
 
         let expected = pattern(bytes);
         assert_eq!(
@@ -308,8 +149,11 @@ fn same_seed_produces_byte_identical_fault_schedules_and_stats() {
         ..NetemConfig::default()
     };
 
-    let a = run_lossy_tcp(seed, "determinism", cfg.clone(), 64 * 1024);
-    let b = run_lossy_tcp(seed, "determinism", cfg, 64 * 1024);
+    let run = |cfg| {
+        netsim::lossy_transfer(Backend::XenRing, seed, "determinism", cfg, 64 * 1024)
+    };
+    let a = run(cfg.clone());
+    let b = run(cfg);
 
     assert!(
         a.received == b.received,

@@ -32,11 +32,11 @@ use std::sync::{Arc, OnceLock};
 
 use mirage::cstruct::{copy_counters, reset_copy_counters, PktBuf};
 use mirage::devices::netfront::{CopyDiscipline, NetifStats};
-use mirage::devices::{Backend, DriverDomain, DriverStats, Netem, NetemConfig, Xenstore};
+use mirage::devices::{Backend, DriverDomain, NetemConfig, Xenstore};
 use mirage::dns::{DnsName, DnsServer, Message, RType, ServerConfig, Zone};
 use mirage::http::{HandlerFuture, HttpConnection, HttpServer, Request, Response, Router};
-use mirage::hypervisor::{Dur, Hypervisor, RunOutcome, Time};
-use mirage::net::{tcp, Ipv4Addr, Mac, Stack, StackConfig};
+use mirage::hypervisor::{Dur, Hypervisor, Time};
+use mirage::net::{Ipv4Addr, Mac, Stack, StackConfig};
 use mirage::runtime::UnikernelGuest;
 use mirage::storage::{BlkDevice, BlockLog, Tree};
 use mirage_testkit::rng::{fnv1a, Rng};
@@ -48,10 +48,6 @@ use mirage_testkit::test_seed;
 fn conformance_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
-}
-
-fn pattern(len: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i * 31 + 7) & 0xFF) as u8).collect()
 }
 
 /// Asserts the two per-backend transcripts are byte-identical and names
@@ -309,136 +305,32 @@ fn dns_query_storm_transcripts_are_byte_identical_across_backends() {
 
 // ================================================= chaos loss × reorder
 
-const TX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const RX_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-/// One lossy/reordered bulk transfer over `backend`, seeded from
+/// One lossy/reordered bulk transfer over `backend` (the shared scenario
+/// in [`mirage_bench::netsim::lossy_transfer`]), seeded from
 /// `(seed, cell)`. Returns the application transcript: payload digest,
 /// exactly-once accounting, netem schedule counters and the sender's
 /// retransmission machinery stats.
 fn lossy_transfer(backend: Backend, seed: u64, cell: &'static str, cfg: NetemConfig) -> String {
     const BYTES: usize = 48 * 1024;
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::new();
-    hv.set_step_budget(400_000_000);
-
-    let mut dom0 = DriverDomain::new(xs.clone());
-    let netem = Netem::from_seed(cfg, seed, cell);
-    let nstats = netem.stats_handle();
-    dom0.set_netem(netem);
-    hv.create_domain("dom0", 512, Box::new(dom0));
-
-    let tcp_cfg = tcp::TcpConfig::builder()
-        .recv_buf(64 * 1024)
-        .rto_max(Dur::secs(2))
-        .build()
-        .expect("valid tcp config");
-    let rx_cfg = StackConfig::builder(RX_IP).tcp(tcp_cfg.clone()).build().unwrap();
-    let tx_cfg = StackConfig::builder(TX_IP).tcp(tcp_cfg).build().unwrap();
-    let payload = Arc::new(pattern(BYTES));
-
-    let rx_result = Arc::new(Mutex::new(None::<(Vec<u8>, u64)>));
-    let rx_out = Arc::clone(&rx_result);
-    let (front_rx, nh_rx) = backend.net(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
-    let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_rx, rx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            let mut listener = stack.tcp_listen(5001).await.unwrap();
-            let mut stream = listener.accept().await.unwrap();
-            let mut got: Vec<u8> = Vec::new();
-            while got.len() < BYTES {
-                match stream.read().await {
-                    Some(chunk) => got.extend_from_slice(&chunk),
-                    None => break,
-                }
-            }
-            stream.write(b"K");
-            let extra = stream.read_to_end().await.len() as u64;
-            *rx_out.lock() = Some((got, extra));
-            // Park: a dead domain would take its retransmissions with it.
-            loop {
-                rt2.sleep(Dur::secs(60)).await;
-            }
-        })
-    });
-    rx_guest.add_device(front_rx);
-    hv.create_domain("conf-rx", 128, Box::new(rx_guest));
-
-    let tx_result: Arc<Mutex<Option<tcp::TcpStats>>> = Arc::new(Mutex::new(None));
-    let tx_out = Arc::clone(&tx_result);
-    let tx_payload = Arc::clone(&payload);
-    let (front_tx, nh_tx) = backend.net(xs.clone(), "tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
-    let mut tx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_tx, tx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
-            let mut stream = loop {
-                match stack.tcp_connect(RX_IP, 5001).await {
-                    Ok(s) => break s,
-                    Err(_) => rt2.sleep(Dur::millis(50)).await,
-                }
-            };
-            let mut sent = 0usize;
-            while sent < tx_payload.len() {
-                let n = (tx_payload.len() - sent).min(16 * 1024);
-                stream.write(&tx_payload[sent..sent + n]);
-                sent += n;
-                rt2.yield_now().await;
-            }
-            let mut receipt: Vec<u8> = Vec::new();
-            while receipt.is_empty() {
-                match stream.read().await {
-                    Some(chunk) => receipt.extend_from_slice(&chunk),
-                    None => break,
-                }
-            }
-            let stats = stream.stats().await.expect("stats before close");
-            *tx_out.lock() = Some(stats);
-            stream.close();
-            loop {
-                rt2.sleep(Dur::secs(60)).await;
-            }
-        })
-    });
-    tx_guest.add_device(front_tx);
-    hv.create_domain("conf-tx", 128, Box::new(tx_guest));
-
-    let deadline = Time::ZERO + Dur::secs(300);
-    loop {
-        let outcome = hv.run_until(hv.now() + Dur::millis(100));
-        if rx_result.lock().is_some() && tx_result.lock().is_some() {
-            break;
-        }
-        assert!(
-            outcome == RunOutcome::TimeLimit && hv.now() < deadline,
-            "[{cell}/{backend}] transfer stalled at {:?}; \
-             reproduce with MIRAGE_TEST_SEED={seed}",
-            hv.now(),
-        );
-    }
-
-    let (received, extra) = rx_result.lock().take().expect("receiver reported");
-    let sender = tx_result.lock().take().expect("sender reported");
-    let netem = nstats.lock().clone();
+    let r = mirage_bench::netsim::lossy_transfer(backend, seed, cell, cfg, BYTES);
     assert_eq!(
-        received,
-        *payload,
+        r.received,
+        mirage_bench::netsim::lossy_payload(BYTES),
         "[{cell}/{backend}] payload delivered exactly once, byte-perfect; \
          reproduce with MIRAGE_TEST_SEED={seed}"
     );
     format!(
-        "{cell} bytes={} digest={:016x} extra={extra} \
+        "{cell} bytes={} digest={:016x} extra={} \
          segs_out={} fast={} rto={} netem_dropped={} netem_reordered={} netem_duplicated={}\n",
-        received.len(),
-        fnv1a(&received),
-        sender.segs_out,
-        sender.fast_retransmits,
-        sender.rto_retransmits,
-        netem.dropped,
-        netem.reordered,
-        netem.duplicated,
+        r.received.len(),
+        fnv1a(&r.received),
+        r.extra_bytes,
+        r.sender.segs_out,
+        r.sender.fast_retransmits,
+        r.sender.rto_retransmits,
+        r.netem.dropped,
+        r.netem.reordered,
+        r.netem.duplicated,
     )
 }
 
@@ -610,9 +502,3 @@ fn same_seed_double_runs_are_byte_identical_per_backend() {
     }
 }
 
-// A compile-time reminder that the suite exercises the same DriverStats
-// surface the chaos suite gates on.
-#[allow(dead_code)]
-fn _driver_stats_is_shared(d: DriverStats) -> DriverStats {
-    d
-}
